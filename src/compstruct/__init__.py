@@ -1,6 +1,5 @@
 """Exact tables, samplers and consistency checks for composition structures."""
 
-from ._kernels import backend_name
 from .composition import (EMPTY, MAX_ENUM_N, Composition, Partition,
                           enumerate_compositions, enumerate_partitions,
                           uniform_reduction_kernel)
@@ -32,3 +31,8 @@ from .verify import (CheckReport, check_decrement_recursions,
                      chi_square_gof, ks_against_cdf, ks_two_sample)
 
 __version__ = "0.1.0"
+
+
+def backend_name() -> str:
+    """Name of the sampling backend: every kernel is vectorised numpy."""
+    return "numpy"

@@ -240,14 +240,14 @@ def cmd_arrange(args):
         lam = Partition.from_string(args.partition)
     except ValueError as exc:
         raise CliError(str(exc), EXIT_BAD_PARAMS) from exc
-    if not (0 <= alpha < 1 and theta > -alpha):
-        raise CliError(f"need 0 <= alpha < 1, theta > -alpha, got {(alpha, theta)}",
-                       EXIT_BAD_PARAMS)
     import numpy as np
 
     stream = RngStream(seed=args.seed, stream=args.stream)
-    parts = np.tile(np.array(lam.parts, dtype=np.int64), (args.draws, 1))
-    codes = batch_arrangements(parts, lam.n, alpha, theta, stream)
+    try:
+        parts = np.tile(np.array(lam.parts, dtype=np.int64), (args.draws, 1))
+        codes = batch_arrangements(parts, lam.n, alpha, theta, stream)
+    except (ValueError, TypeError) as exc:
+        raise CliError(str(exc), EXIT_BAD_PARAMS) from exc
     counts = codes_to_counts(codes, lam.n)
     probs = [0.0] * len(counts)
     _emit(args, tables.count_table_lines(counts, probs, lam.n),

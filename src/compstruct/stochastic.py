@@ -3,30 +3,30 @@ stick-breaking, scale-invariant Poisson sets, the two uniform/Poisson
 sampling constructions, fragmentation, and the size-biased arrangement
 algorithm.
 
-Single-draw operations work on explicit lazy objects (interval partitions,
-atom sets) and are convenient for inspection; the ``batch_*`` functions
-dispatch to the compiled kernels in :mod:`compstruct._kernels` for
-high-throughput Monte Carlo and return integer composition codes.
+Each sampled law has one vectorised numpy kernel that draws many
+compositions at once from an ``np.random.Generator`` and returns them as
+integer binary codes (MSB = first digit).  The ``batch_*`` functions run a
+kernel on a seeded :class:`RngStream`; the per-draw string, Markov and
+arrangement samplers are single-draw calls of the same kernels.  The lazy
+interval-partition and atom-set objects are independent reference
+constructions, convenient for inspection.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Callable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, List, Optional
 
 import numpy as np
 
-from . import _kernels
 from .composition import Composition, Partition, enumerate_partitions
 from .laws import Cpf, DecrementMatrixPair, partition_law
 from .ratmath import factorial, rising
 
 __all__ = [
     "RngStream",
-    "size_biased_pick",
     "sample_bernoulli_string",
     "sample_renewal_string",
     "sample_markov_composition",
@@ -75,34 +75,13 @@ def _as_rng(rng) -> np.random.Generator:
     raise TypeError(f"expected RngStream or numpy Generator, got {type(rng)}")
 
 
-def size_biased_pick(weights: Sequence, rng) -> int:
-    """0-based index j drawn with probability weights[j] / sum(weights)."""
-    total = float(sum(weights))
-    if total <= 0:
-        raise ValueError("weights must have positive total")
-    u = _as_rng(rng).random() * total
-    acc = 0.0
-    for i, w in enumerate(weights):
-        acc += float(w)
-        if u <= acc:
-            return i
-    return len(weights) - 1
-
-
 # ---------------------------------------------------------------------------
-# string samplers
+# string samplers and the decreasing chain
 
 
 def sample_bernoulli_string(theta, n: int, rng) -> Composition:
     """Independent digits with P(xi_j = 1) = theta/(j+theta-1); xi_1 = 1."""
-    if not theta > 0:
-        raise ValueError("theta must be positive")
-    g = _as_rng(rng)
-    th = float(theta)
-    bits = ["1"]
-    for j in range(2, n + 1):
-        bits.append("1" if g.random() < th / (j + th - 1) else "0")
-    return Composition.from_binary("".join(bits))
+    return Composition.from_code(int(_ewens_codes(theta, n, 1, _as_rng(rng))[0]), n)
 
 
 def renewal_spacing_cdf(alpha, n: int) -> np.ndarray:
@@ -114,52 +93,16 @@ def renewal_spacing_cdf(alpha, n: int) -> np.ndarray:
 
 def sample_renewal_string(alpha, n: int, rng) -> Composition:
     """1s at the renewal times R_k = 1 + X_1 + ... + X_k, truncated at n."""
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must be in (0,1)")
-    g = _as_rng(rng)
-    cdf = renewal_spacing_cdf(alpha, n)
-    bits = ["0"] * n
-    bits[0] = "1"
-    cur = 1
-    while cur < n:
-        x = int(np.searchsorted(cdf, g.random(), side="left")) + 1
-        cur += x
-        if cur <= n:
-            bits[cur - 1] = "1"
-    return Composition.from_binary("".join(bits))
+    return Composition.from_code(int(_renewal_codes(alpha, n, 1, _as_rng(rng))[0]), n)
 
 
 def sample_markov_composition(dm: DecrementMatrixPair, n: int, rng) -> Composition:
-    """Exact product-formula sampler: last part from q*(n:.), then q(rem:.)."""
-    g = _as_rng(rng)
-    parts = []
-    row = [float(v) for v in dm.qstar.row(n)]
-    _check_row(row, dm.qstar.name, n)
-    r = _draw_from_row(row, g)
-    parts.append(r)
-    m = n - r
-    while m > 0:
-        row = [float(v) for v in dm.q.row(m)]
-        _check_row(row, dm.q.name, m)
-        r = _draw_from_row(row, g)
-        parts.append(r)
-        m -= r
-    return Composition(tuple(reversed(parts)))
+    """Exact product-formula sampler: last part from q*(n:.), then q(rem:.).
 
-
-def _check_row(row, name, n):
-    if abs(sum(row) - 1.0) > 1e-9:
-        raise ValueError(f"{name} row {n} is not normalised: sum = {sum(row)}")
-
-
-def _draw_from_row(row, g) -> int:
-    u = g.random()
-    acc = 0.0
-    for r, p in enumerate(row, start=1):
-        acc += p
-        if u <= acc:
-            return r
-    return len(row)
+    Every row it may use must sum to 1 within 1e-9.
+    """
+    code = _markov_codes(dm, n, 1, _as_rng(rng), check_rows=True)[0]
+    return Composition.from_code(int(code), n)
 
 
 def sample_gem(alpha, theta, k: int, rng) -> list:
@@ -168,8 +111,7 @@ def sample_gem(alpha, theta, k: int, rng) -> list:
     W_i ~ Beta(1-alpha, theta + i*alpha), the standard two-parameter
     residual-allocation indexing.
     """
-    if not (0 <= alpha < 1 and theta > -alpha):
-        raise ValueError(f"need 0 <= alpha < 1 and theta > -alpha, got {(alpha, theta)}")
+    _check_alpha_theta(alpha, theta)
     g = _as_rng(rng)
     a, t = float(alpha), float(theta)
     out = []
@@ -195,8 +137,7 @@ class ScaleInvariantSet:
     """
 
     def __init__(self, theta, rng):
-        if not theta > 0:
-            raise ValueError("theta must be positive")
+        _check_theta(theta)
         self.theta = float(theta)
         self._rng = _as_rng(rng)
         self._down: List[float] = []   # increasing partial sums Gamma_k
@@ -279,8 +220,7 @@ def sample_scale_invariant_partition(theta, rng, depth_cutoff: float = 1e-12
     ``depth_cutoff``; the returned partition keeps extending lazily if a
     sample point lands below that.
     """
-    if not theta > 0:
-        raise ValueError("theta must be positive")
+    _check_theta(theta)
     g = _as_rng(rng)
     th = float(theta)
     atoms = [1.0]  # right endpoints; atoms[k] = exp(-Gamma_k), Gamma_0 = 0
@@ -400,26 +340,172 @@ def arrange_partition(partition: Partition, alpha, theta, rng) -> Composition:
     remainder (of size S) proportionally to (S-r) tau + r (1-tau),
     tau = alpha/(2 alpha + theta).
     """
-    if not (0 <= alpha < 1 and theta > -alpha):
-        raise ValueError(f"need 0 <= alpha < 1 and theta > -alpha, got {(alpha, theta)}")
-    g = _as_rng(rng)
-    tau = float(alpha) / (2.0 * float(alpha) + float(theta))
-    remaining = list(partition.parts)
-    s = partition.n
-    placed = []
-    i = size_biased_pick(remaining, g)
-    placed.append(remaining.pop(i))
-    s -= placed[-1]
-    while remaining:
-        weights = [(s - r) * tau + r * (1.0 - tau) for r in remaining]
-        i = size_biased_pick(weights, g)
-        placed.append(remaining.pop(i))
-        s -= placed[-1]
-    return Composition(tuple(reversed(placed)))
+    code = _arrange_codes([partition.parts], partition.n, alpha, theta, _as_rng(rng))[0]
+    return Composition.from_code(int(code), partition.n)
 
 
 # ---------------------------------------------------------------------------
-# batch kernels
+# sampling kernels: one per law, (draws,) int64 codes from a Generator
+
+MAX_CODE_N = 63  # the code of a composition of n has its top bit at n - 1
+
+
+def _check_size(n, draws):
+    if not 1 <= n <= MAX_CODE_N:
+        raise ValueError(f"need 1 <= n <= {MAX_CODE_N} for int64 composition codes, "
+                         f"got n = {n}")
+    if not draws >= 0:
+        raise ValueError(f"draws must be >= 0, got {draws}")
+
+
+def _check_theta(theta):
+    if not theta > 0:
+        raise ValueError(f"theta must be positive, got {theta}")
+
+
+def _check_alpha_theta(alpha, theta):
+    if not (0 <= alpha < 1 and theta > -alpha):
+        raise ValueError(f"need 0 <= alpha < 1 and theta > -alpha, "
+                         f"got alpha = {alpha}, theta = {theta}")
+
+
+def _bits_to_codes(bits):
+    n = bits.shape[1]
+    powers = (np.int64(1) << np.arange(n - 1, -1, -1)).astype(np.int64)
+    return bits.astype(np.int64) @ powers
+
+
+def _ewens_codes(theta, n, draws, g):
+    _check_theta(theta)
+    _check_size(n, draws)
+    theta = float(theta)
+    bits = np.ones((draws, n), dtype=np.int64)
+    if n > 1:
+        js = np.arange(2, n + 1, dtype=float)
+        bits[:, 1:] = g.random((draws, n - 1)) < theta / (js + theta - 1.0)
+    return _bits_to_codes(bits)
+
+
+def _renewal_codes(alpha, n, draws, g):
+    if not 0 < alpha < 1:
+        raise ValueError(f"alpha must be in (0,1), got {alpha}")
+    _check_size(n, draws)
+    # u beyond cdf[-1] means the next renewal falls outside the first n digits
+    cdf = renewal_spacing_cdf(alpha, n)
+    codes = np.full(draws, np.int64(1) << (n - 1), dtype=np.int64)
+    cur = np.ones(draws, dtype=np.int64)
+    active = cur < n
+    while active.any():
+        u = g.random(active.sum())
+        x = np.searchsorted(cdf, u, side="left") + 1
+        cur_active = cur[active] + x
+        hit = cur_active <= n
+        idx = np.flatnonzero(active)
+        codes[idx[hit]] |= np.int64(1) << (n - cur_active[hit])
+        cur[idx] = cur_active
+        active = cur < n
+    return codes
+
+
+def _markov_codes(dm, n, draws, g, check_rows=False):
+    _check_size(n, draws)
+
+    def cdf(matrix, m):
+        row = np.cumsum([float(v) for v in matrix.row(m)])
+        if check_rows and abs(row[-1] - 1.0) > 1e-9:
+            raise ValueError(f"{matrix.name} row {m} is not normalised: sum = {row[-1]}")
+        return row
+
+    # q_cdf[m-1, r-1] = sum_{r' <= r} q(m:r'); row n is never reached, since
+    # the first step draws from q*(n:.)
+    q_cdf = np.ones((n, n))
+    for m in range(1, n):
+        q_cdf[m - 1, :m] = cdf(dm.q, m)
+    qstar_cdf = cdf(dm.qstar, n)
+    codes = np.zeros(draws, dtype=np.int64)
+    u = g.random(draws)
+    r = np.searchsorted(qstar_cdf, u, side="left").astype(np.int64) + 1
+    np.minimum(r, n, out=r)
+    m = np.full(draws, n, dtype=np.int64)
+    codes |= np.int64(1) << (n - (m - r + 1))
+    m -= r
+    while (m > 0).any():
+        act = np.flatnonzero(m > 0)
+        u = g.random(act.size)
+        rows = q_cdf[m[act] - 1]
+        r = (u[:, None] > rows).sum(axis=1).astype(np.int64) + 1
+        np.minimum(r, m[act], out=r)
+        codes[act] |= np.int64(1) << (n - (m[act] - r + 1))
+        m[act] -= r
+    return codes
+
+
+def _uniform_set_codes(theta, n, draws, g):
+    # Theorem-1 construction: uniforms map to depths e = -log u; the interval
+    # index of depth t is the number of Poisson(theta) arrivals below t
+    _check_theta(theta)
+    _check_size(n, draws)
+    e = np.sort(g.exponential(size=(draws, n)), axis=1)
+    diffs = np.diff(np.concatenate([np.zeros((draws, 1)), e], axis=1), axis=1)
+    idx = g.poisson(float(theta) * diffs).cumsum(axis=1)
+    # left-to-right order is descending depth; a 1 starts each new box
+    desc = idx[:, ::-1]
+    bits = np.ones((draws, n), dtype=np.int64)
+    bits[:, 1:] = desc[:, 1:] != desc[:, :-1]
+    return _bits_to_codes(bits)
+
+
+def _poisson_set_codes(theta, n, draws, g):
+    # Theorem-2 construction: presence of line-process points in the disjoint
+    # windows [log eps_{j-1}, log eps_j] is independent Bernoulli given the
+    # arrivals
+    _check_theta(theta)
+    _check_size(n, draws)
+    eps = g.exponential(size=(draws, n)).cumsum(axis=1)
+    bits = np.ones((draws, n), dtype=np.int64)
+    if n > 1:
+        p = 1.0 - (eps[:, :-1] / eps[:, 1:]) ** float(theta)
+        bits[:, 1:] = g.random((draws, n - 1)) < p
+    return _bits_to_codes(bits)
+
+
+def _arrange_codes(parts, n, alpha, theta, g):
+    # all rows are arranged right to left in step.  Sorted by part count,
+    # descending, the rows still being arranged at each step are a prefix.  A
+    # step weights the columns, zero for a placed or padding column; one
+    # uniform in (0, total] per row then picks the first column whose
+    # cumulative weight reaches it, which is never a zero-weight column
+    _check_alpha_theta(alpha, theta)
+    parts = np.array(parts, dtype=np.int64, ndmin=2)
+    _check_size(n, parts.shape[0])
+    if (parts < 0).any() or (parts.sum(axis=1) != n).any():
+        raise ValueError(f"every row of parts must be a partition of n = {n}")
+    tau = float(alpha) / (2.0 * float(alpha) + float(theta))
+    k = (parts > 0).sum(axis=1)
+    order = np.argsort(-k, kind="stable")
+    left, k = parts[order], k[order]
+    s = np.full(len(k), n, dtype=np.int64)
+    codes = np.zeros(len(k), dtype=np.int64)
+    weights = left.astype(float)  # the first pick is size-biased
+    for step in range(int(k.max(initial=0))):
+        a = int(np.count_nonzero(k > step))
+        left, s, rows = left[:a], s[:a], np.arange(a)
+        cum = weights[:a].cumsum(axis=1)
+        u = (1.0 - g.random(a)) * cum[:, -1]
+        pick = (u[:, None] > cum).sum(axis=1)
+        r = left[rows, pick]
+        codes[:a] |= np.int64(1) << (n - s + r - 1)
+        s -= r
+        left[rows, pick] = 0
+        # (s - r) tau + r (1 - tau) = s tau + r (1 - 2 tau) for each unplaced r
+        weights = (left > 0) * (s[:, None] * tau + left * (1.0 - 2.0 * tau))
+    out = np.empty_like(codes)
+    out[order] = codes
+    return out
+
+
+# ---------------------------------------------------------------------------
+# batch samplers
 
 
 def codes_to_counts(codes: np.ndarray, n: int) -> np.ndarray:
@@ -428,38 +514,38 @@ def codes_to_counts(codes: np.ndarray, n: int) -> np.ndarray:
     return np.bincount(codes - base, minlength=base)
 
 
+def _kernel_rng(stream: RngStream, salt: int = 0) -> np.random.Generator:
+    return np.random.default_rng(stream.kernel_seed(salt))
+
+
 def batch_ewens_strings(theta, n: int, draws: int, stream: RngStream) -> np.ndarray:
-    return _kernels.ewens_string_codes(float(theta), n, draws, stream.kernel_seed())
+    return _ewens_codes(theta, n, draws, _kernel_rng(stream))
 
 
 def batch_renewal_strings(alpha, n: int, draws: int, stream: RngStream) -> np.ndarray:
-    cdf = renewal_spacing_cdf(alpha, n)
-    return _kernels.renewal_string_codes(cdf, n, draws, stream.kernel_seed())
+    return _renewal_codes(alpha, n, draws, _kernel_rng(stream))
 
 
 def batch_markov_compositions(dm: DecrementMatrixPair, n: int, draws: int,
                               stream: RngStream) -> np.ndarray:
-    q_cdf = np.ones((n, n))
-    for m in range(1, n + 1):
-        q_cdf[m - 1, :m] = np.cumsum([float(v) for v in dm.q.row(m)])
-    qstar_cdf = np.cumsum([float(v) for v in dm.qstar.row(n)])
-    return _kernels.markov_chain_codes(q_cdf, qstar_cdf, n, draws, stream.kernel_seed())
+    return _markov_codes(dm, n, draws, _kernel_rng(stream))
 
 
 def batch_uniform_construction(theta, n: int, draws: int, stream: RngStream) -> np.ndarray:
     """Uniform sampling from the scale-invariant set, vectorised over draws."""
-    return _kernels.uniform_set_codes(float(theta), n, draws, stream.kernel_seed())
+    return _uniform_set_codes(theta, n, draws, _kernel_rng(stream))
 
 
 def batch_poisson_construction(theta, n: int, draws: int, stream: RngStream) -> np.ndarray:
     """Poisson sampling of digits from the scale-invariant set, vectorised."""
-    return _kernels.poisson_set_codes(float(theta), n, draws, stream.kernel_seed())
+    return _poisson_set_codes(theta, n, draws, _kernel_rng(stream))
 
 
 def sample_partition_batch(alpha, theta, n: int, draws: int, stream: RngStream
                            ) -> np.ndarray:
     """Partition draws from the exact (alpha,theta) partition law, as a
     zero-padded (draws, max_parts) parts matrix."""
+    _check_alpha_theta(alpha, theta)
     partitions = enumerate_partitions(n)
     probs = np.array([float(partition_law(alpha, theta, lam)) for lam in partitions])
     probs = probs / probs.sum()
@@ -474,5 +560,4 @@ def sample_partition_batch(alpha, theta, n: int, draws: int, stream: RngStream
 
 def batch_arrangements(parts_matrix: np.ndarray, n: int, alpha, theta,
                        stream: RngStream) -> np.ndarray:
-    tau = float(alpha) / (2.0 * float(alpha) + float(theta))
-    return _kernels.arrangement_codes(parts_matrix, n, tau, stream.kernel_seed(salt=1))
+    return _arrange_codes(parts_matrix, n, alpha, theta, _kernel_rng(stream, salt=1))

@@ -100,6 +100,15 @@ class TestSampleCommand:
             assert sum(int(line.split("\t")[1]) for line in out.splitlines()
                        if not line.startswith("#")) == 200
 
+    @pytest.mark.parametrize("params", [("--family", "ewens", "--theta", "-1"),
+                                        ("--family", "renewal", "--alpha", "3/2"),
+                                        ("--family", "ewens", "--theta", "1",
+                                         "--method", "poisson-set", "--draws", "-1")])
+    def test_out_of_range_param_exit2(self, capsys, params):
+        code, out, err = run(capsys, "sample", "--n", "4", "--draws", "100",
+                             "--seed", "1", *params)
+        assert code == 2 and out == "" and err.startswith("error:")
+
     def test_log_file(self, capsys, tmp_path):
         log = tmp_path / "draws.log"
         code, _, _ = run(capsys, "sample", "--family", "ewens", "--theta", "1",
@@ -190,6 +199,12 @@ class TestArrangeCommand:
         assert {k for k, v in counted.items() if v} <= {"1011", "1101", "1110"}
         _, out2, _ = run(capsys, *argv)
         assert out1 == out2
+
+    @pytest.mark.parametrize("alpha, theta", [("1", "1"), ("1/2", "-1")])
+    def test_out_of_range_param_exit2(self, capsys, alpha, theta):
+        code, out, err = run(capsys, "arrange", "--partition", "2,1", "--alpha",
+                             alpha, "--theta", theta, "--seed", "3")
+        assert code == 2 and out == "" and err.startswith("error:")
 
     def test_bad_partition_exit2(self, capsys):
         code, _, _ = run(capsys, "arrange", "--partition", "2,0", "--alpha",

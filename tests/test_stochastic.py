@@ -99,6 +99,46 @@ class TestStringSamplers:
         codes = batch_ewens_strings(2.0, 1, 100, RngStream(1))
         assert (codes == 1).all()
 
+    @pytest.mark.parametrize("sample", [
+        lambda n, d: batch_ewens_strings(-1.0, n, d, RngStream(1)),
+        lambda n, d: batch_ewens_strings(0, n, d, RngStream(1)),
+        lambda n, d: batch_renewal_strings(1.5, n, d, RngStream(1)),
+        lambda n, d: batch_renewal_strings(0, n, d, RngStream(1)),
+        lambda n, d: batch_uniform_construction(-1.0, n, d, RngStream(1)),
+        lambda n, d: batch_poisson_construction(0.0, n, d, RngStream(1)),
+        lambda n, d: batch_ewens_strings(1.0, n, -1, RngStream(1)),
+        lambda n, d: batch_markov_compositions(
+            two_param_stationary_pair(F(1, 2), 1), n, -1, RngStream(1)),
+    ], ids=["ewens-theta<0", "ewens-theta=0", "renewal-alpha>1", "renewal-alpha=0",
+            "uniform-set-theta<0", "poisson-set-theta=0", "ewens-draws<0",
+            "markov-draws<0"])
+    def test_batch_rejects_bad_parameters(self, sample):
+        with pytest.raises(ValueError):
+            sample(5, 10)
+
+    @pytest.mark.parametrize("sample", [
+        lambda n: batch_ewens_strings(1.0, n, 10, RngStream(1)),
+        lambda n: batch_renewal_strings(0.5, n, 10, RngStream(1)),
+        lambda n: batch_markov_compositions(
+            two_param_stationary_pair(F(1, 2), 1), n, 10, RngStream(1)),
+        lambda n: batch_uniform_construction(1.0, n, 10, RngStream(1)),
+        lambda n: batch_poisson_construction(1.0, n, 10, RngStream(1)),
+        lambda n: batch_arrangements(np.full((10, 1), n), n, 0.5, 0.5, RngStream(1)),
+    ], ids=["ewens", "renewal", "markov", "uniform-set", "poisson-set", "arrangement"])
+    def test_int64_code_guard(self, sample):
+        # codes of compositions of 64 would overflow int64
+        for n in (0, 64, 70):
+            with pytest.raises(ValueError, match="int64"):
+                sample(n)
+
+    def test_n63_codes_are_positive(self):
+        codes = batch_ewens_strings(1.0, 63, 100, RngStream(1))
+        assert (codes >= 1 << 62).all()
+
+    def test_zero_draws(self):
+        assert batch_ewens_strings(1.0, 5, 0, RngStream(1)).shape == (0,)
+        assert batch_arrangements(np.zeros((0, 3)), 5, 0.5, 0.5, RngStream(1)).shape == (0,)
+
 
 class TestGem:
     def test_moments(self):
@@ -297,6 +337,32 @@ class TestArrangement:
             total = c1 + c2
             se = (total * 0.25) ** 0.5
             assert abs(c1 - total / 2) < 4 * se
+
+    def test_rows_keep_their_parts(self):
+        # rows with different part counts come back in input order
+        a = F(1, 2)
+        parts = sample_partition_batch(a, a, 6, 2000, RngStream(47))
+        codes = batch_arrangements(parts, 6, 0.5, 0.5, RngStream(47))
+        for row, code in zip(parts, codes):
+            arranged = Composition.from_code(int(code), 6)
+            assert arranged.rank() == Partition(tuple(int(p) for p in row if p > 0))
+
+    @pytest.mark.parametrize("alpha, theta", [(1.5, 1.0), (1.0, 1.0), (-0.1, 1.0),
+                                              (0.5, -0.5), (0.0, 0.0)])
+    def test_rejects_bad_parameters(self, alpha, theta):
+        parts = np.tile(np.array([2, 1, 1]), (10, 1))
+        with pytest.raises(ValueError):
+            batch_arrangements(parts, 4, alpha, theta, RngStream(1))
+        with pytest.raises(ValueError):
+            arrange_partition(Partition((2, 1, 1)), alpha, theta, RngStream(1))
+        with pytest.raises(ValueError):
+            sample_partition_batch(alpha, theta, 4, 10, RngStream(1))
+
+    def test_rejects_rows_that_are_not_partitions_of_n(self):
+        with pytest.raises(ValueError, match="partition"):
+            batch_arrangements(np.array([[2, 1], [2, 2]]), 3, 0.5, 0.5, RngStream(1))
+        with pytest.raises(ValueError, match="partition"):
+            batch_arrangements(np.array([[4, -1]]), 3, 0.5, 0.5, RngStream(1))
 
     def test_per_draw_op(self):
         g = RngStream(45).generator()
