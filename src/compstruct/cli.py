@@ -234,6 +234,23 @@ def cmd_reconstruct(args):
     return EXIT_OK
 
 
+def arrangement_probs(lam: Partition, alpha, theta) -> list:
+    """Exact law of an arranged partition, in code order.
+
+    Arranged (alpha, theta) partitions follow the stationary (alpha, alpha +
+    theta) law, so conditionally on the parts the law is that CPF restricted
+    to the arrangements of ``lam`` and renormalised.
+    """
+    cpf = markov_cpf(two_param_stationary_pair(alpha, alpha + theta))
+    mass = {c.code: cpf(c) for c in lam.distinct_arrangements()}
+    total = sum(mass.values())
+    base = 1 << (lam.n - 1)
+    probs = [0.0] * base
+    for code, p in mass.items():
+        probs[code - base] = p / total
+    return probs
+
+
 def cmd_arrange(args):
     alpha, theta = _scalar(args.alpha), _scalar(args.theta)
     try:
@@ -242,14 +259,15 @@ def cmd_arrange(args):
         raise CliError(str(exc), EXIT_BAD_PARAMS) from exc
     import numpy as np
 
+    _check_cap(lam.n)
     stream = RngStream(seed=args.seed, stream=args.stream)
     try:
         parts = np.tile(np.array(lam.parts, dtype=np.int64), (args.draws, 1))
         codes = batch_arrangements(parts, lam.n, alpha, theta, stream)
+        probs = arrangement_probs(lam, alpha, theta)
     except (ValueError, TypeError) as exc:
         raise CliError(str(exc), EXIT_BAD_PARAMS) from exc
     counts = codes_to_counts(codes, lam.n)
-    probs = [0.0] * len(counts)
     _emit(args, tables.count_table_lines(counts, probs, lam.n),
           tables.count_table_tree(counts, probs, lam.n))
     return EXIT_OK

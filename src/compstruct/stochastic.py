@@ -22,7 +22,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from .composition import Composition, Partition, enumerate_partitions
-from .laws import Cpf, DecrementMatrixPair, partition_law
+from .laws import Cpf, DecrementMatrixPair, _check_alpha_theta, partition_law
 from .ratmath import factorial, rising
 
 __all__ = [
@@ -99,9 +99,10 @@ def sample_renewal_string(alpha, n: int, rng) -> Composition:
 def sample_markov_composition(dm: DecrementMatrixPair, n: int, rng) -> Composition:
     """Exact product-formula sampler: last part from q*(n:.), then q(rem:.).
 
-    Every row it may use must sum to 1 within 1e-9.
+    Every row it may use must be a probability vector summing to 1 within
+    1e-9.
     """
-    code = _markov_codes(dm, n, 1, _as_rng(rng), check_rows=True)[0]
+    code = _markov_codes(dm, n, 1, _as_rng(rng))[0]
     return Composition.from_code(int(code), n)
 
 
@@ -363,12 +364,6 @@ def _check_theta(theta):
         raise ValueError(f"theta must be positive, got {theta}")
 
 
-def _check_alpha_theta(alpha, theta):
-    if not (0 <= alpha < 1 and theta > -alpha):
-        raise ValueError(f"need 0 <= alpha < 1 and theta > -alpha, "
-                         f"got alpha = {alpha}, theta = {theta}")
-
-
 def _bits_to_codes(bits):
     n = bits.shape[1]
     powers = (np.int64(1) << np.arange(n - 1, -1, -1)).astype(np.int64)
@@ -407,13 +402,17 @@ def _renewal_codes(alpha, n, draws, g):
     return codes
 
 
-def _markov_codes(dm, n, draws, g, check_rows=False):
+def _markov_codes(dm, n, draws, g):
+    # every row a draw may use must be a law: no negative or NaN entry, and
+    # a sum within 1e-9 of 1
     _check_size(n, draws)
 
     def cdf(matrix, m):
-        row = np.cumsum([float(v) for v in matrix.row(m)])
-        if check_rows and abs(row[-1] - 1.0) > 1e-9:
-            raise ValueError(f"{matrix.name} row {m} is not normalised: sum = {row[-1]}")
+        probs = np.array([float(v) for v in matrix.row(m)])
+        row = np.cumsum(probs)
+        if not (probs >= 0).all() or not abs(row[-1] - 1.0) <= 1e-9:
+            raise ValueError(f"{matrix.name} row {m} is not a probability vector: "
+                             f"min = {probs.min()}, sum = {row[-1]}")
         return row
 
     # q_cdf[m-1, r-1] = sum_{r' <= r} q(m:r'); row n is never reached, since
@@ -528,6 +527,8 @@ def batch_renewal_strings(alpha, n: int, draws: int, stream: RngStream) -> np.nd
 
 def batch_markov_compositions(dm: DecrementMatrixPair, n: int, draws: int,
                               stream: RngStream) -> np.ndarray:
+    """Product-formula draws; every row used must be a probability vector
+    summing to 1 within 1e-9."""
     return _markov_codes(dm, n, draws, _kernel_rng(stream))
 
 

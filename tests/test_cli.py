@@ -200,6 +200,32 @@ class TestArrangeCommand:
         _, out2, _ = run(capsys, *argv)
         assert out1 == out2
 
+    def test_expected_column_is_the_conditional_law(self, capsys):
+        # arranged (1/2, 1/2) partitions follow the stationary (1/2, 1) law;
+        # given the parts, the law is that CPF restricted to the class
+        from fractions import Fraction as F
+
+        from compstruct.composition import Partition, enumerate_compositions
+        from compstruct.laws import markov_cpf, two_param_stationary_pair
+
+        code, out, _ = run(capsys, "arrange", "--partition", "3,2,1,1", "--alpha",
+                           "1/2", "--theta", "1/2", "--seed", "3", "--draws", "400",
+                           "--format", "json")
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert sum(row["expected"] for row in rows) == pytest.approx(400, abs=1e-9)
+        mk = markov_cpf(two_param_stationary_pair(F(1, 2), 1))
+        comps = enumerate_compositions(7)
+        mass = [mk(c) if c.rank() == Partition((3, 2, 1, 1)) else 0 for c in comps]
+        want = [400 * float(m / sum(mass)) for m in mass]
+        assert [row["expected"] for row in rows] == pytest.approx(want, abs=1e-9)
+        assert all(row["count"] == 0 for row, w in zip(rows, want) if w == 0)
+
+    def test_cap_exceeded_exit3(self, capsys):
+        code, _, err = run(capsys, "arrange", "--partition", "10,10", "--alpha",
+                           "1/2", "--theta", "1", "--seed", "3")
+        assert code == 3 and "cap" in err
+
     @pytest.mark.parametrize("alpha, theta", [("1", "1"), ("1/2", "-1")])
     def test_out_of_range_param_exit2(self, capsys, alpha, theta):
         code, out, err = run(capsys, "arrange", "--partition", "2,1", "--alpha",

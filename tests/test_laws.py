@@ -3,9 +3,9 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from compstruct.composition import Composition, enumerate_compositions
+from compstruct.composition import Composition, Partition, enumerate_compositions
 from compstruct.laws import (DecrementMatrixPair, LevySpec, beta_meander,
                              ewens_cpf, levy_binomial, levy_exponent,
                              levy_exponent_exact, markov_cpf, meander_moments,
@@ -263,6 +263,18 @@ class TestStationaryPair:
         with pytest.raises(ValueError):
             stationary_pair(spec, wrong)
 
+    @pytest.mark.parametrize("a, t", [(0.5, 1.0), (1 / 3, 2 / 3)])
+    def test_float_rows_sum_to_one(self, a, t):
+        # the closed form does not cancel: every float row up to n = 100 is
+        # a law (the N check raises past 1e-9)
+        pair = two_param_stationary_pair(a, t, N=100)
+        for n in (32, 40, 100):
+            assert min(pair.q.row(n)) >= 0 and min(pair.qstar.row(n)) >= 0
+
+    def test_float_spec_is_not_exact(self):
+        assert not two_param_levy(1 / 3, 2 / 3).is_exact
+        assert two_param_levy(F(1, 3), F(2, 3)).is_exact
+
 
 class TestPotentials:
     def test_ewens_closed_form(self):
@@ -335,6 +347,22 @@ class TestSibi:
                            if c.rank() == lam)
                 assert mass == partition_law(a, t, lam)
 
+    def test_partition_law_float_mode(self):
+        from compstruct.composition import enumerate_partitions
+        lams = enumerate_partitions(9)
+        for a, t in [(0.5, 0.5), (0.25, -0.125), (0.0, 2.0)]:
+            vals = [partition_law(a, t, lam) for lam in lams]
+            exact = [partition_law(F(a), F(t), lam) for lam in lams]
+            assert vals == pytest.approx([float(x) for x in exact], rel=1e-12)
+        # log space keeps large n finite
+        assert partition_law(0.5, 1.0, Partition((200, 100))) > 0
+
+    @pytest.mark.parametrize("a, t", [(1, 1), (F(-1, 4), 1), (F(1, 2), F(-1, 2)),
+                                      (0, 0), (1.5, 1.0)])
+    def test_partition_law_rejects_bad_parameters(self, a, t):
+        with pytest.raises(ValueError):
+            partition_law(a, t, Partition((2, 1)))
+
     def test_sibi_is_not_the_markov_arrangement(self):
         # same partition law, different order statistics: first divergence
         # at n = 4
@@ -366,3 +394,39 @@ def test_stationary_normalization_property(alpha, theta):
     p = markov_cpf(two_param_stationary_pair(alpha, theta))
     for n in range(1, 6):
         assert sum(p(c) for c in enumerate_compositions(n)) == 1
+
+
+@st.composite
+def alpha_theta(draw, theta_positive=False):
+    """Rational alpha in [0, 1) and theta > -alpha (theta > 0 if asked)."""
+    a = draw(st.fractions(min_value=0, max_value=F(19, 20), max_denominator=20))
+    lo = 0 if theta_positive else -a
+    return a, lo + draw(st.fractions(min_value=F(1, 20), max_value=3, max_denominator=20))
+
+
+@settings(max_examples=15, deadline=None)
+@given(alpha_theta())
+@example((F(1, 2), F(1, 2)))
+@example((F(1, 3), F(2, 3)))
+@example((0, 2))
+@example((F(1, 4), F(-1, 8)))
+def test_eppf_equals_sibi_permutation_sum_property(params):
+    from compstruct.composition import enumerate_partitions
+    a, t = params
+    sib = sibi_cpf(a, t)
+    for n in range(1, 7):
+        for lam in enumerate_partitions(n):
+            assert partition_law(a, t, lam) == \
+                sum(sib(c) for c in lam.distinct_arrangements())
+
+
+@settings(max_examples=10, deadline=None)
+@given(alpha_theta(theta_positive=True))
+def test_closed_form_pair_equals_levy_sum_property(params):
+    a, t = params
+    closed = two_param_stationary_pair(a, t)
+    levy = stationary_pair(two_param_levy(a, t), beta_meander(a, t))
+    for n in range(1, 11):
+        for m in range(1, n + 1):
+            assert closed.q(n, m) == levy.q(n, m)
+            assert closed.qstar(n, m) == levy.qstar(n, m)

@@ -8,7 +8,8 @@ import pytest
 from compstruct.composition import (Composition, Partition,
                                     enumerate_compositions,
                                     enumerate_partitions)
-from compstruct.laws import (ewens_cpf, markov_cpf, partition_law,
+from compstruct.laws import (DecrementMatrix, DecrementMatrixPair,
+                             ewens_cpf, markov_cpf, partition_law,
                              renewal_cpf, sibi_cpf, two_param_levy,
                              potential_from_levy, two_param_stationary_pair)
 from compstruct.stochastic import (RngStream, ScaleInvariantSet,
@@ -130,6 +131,25 @@ class TestStringSamplers:
         for n in (0, 64, 70):
             with pytest.raises(ValueError, match="int64"):
                 sample(n)
+
+    @pytest.mark.parametrize("row3", [[float("nan"), 0.5, 0.5], [-0.25, 0.75, 0.5],
+                                      [1 / 3, 1 / 3, 1 / 3 + 1e-6]],
+                             ids=["nan", "negative", "off-by-1e-6"])
+    def test_batch_markov_rejects_rows_that_are_not_laws(self, row3):
+        q = DecrementMatrix("q", lambda n, r: row3[r - 1] if n == 3 else 1.0 / n)
+        pair = DecrementMatrixPair(q=q, qstar=q)
+        with pytest.raises(ValueError, match="row 3"):
+            batch_markov_compositions(pair, 5, 100, RngStream(1))
+        with pytest.raises(ValueError, match="row 3"):
+            sample_markov_composition(pair, 5, RngStream(1))
+        # no draw at n = 2 can reach row 3
+        assert batch_markov_compositions(pair, 2, 100, RngStream(1)).shape == (100,)
+
+    def test_float_markov_at_n40(self):
+        # the float stationary rows at n = 40 pass the row check
+        codes = batch_markov_compositions(two_param_stationary_pair(0.5, 1.0), 40,
+                                          20000, RngStream(5))
+        assert ((codes >= 1 << 39) & (codes < 1 << 40)).all()
 
     def test_n63_codes_are_positive(self):
         codes = batch_ewens_strings(1.0, 63, 100, RngStream(1))
@@ -371,6 +391,10 @@ class TestArrangement:
                 for _ in range(200)}
         assert seen <= {(2, 1), (1, 2)}
         assert len(seen) == 2
+
+    def test_partition_batch_at_n12(self):
+        parts = sample_partition_batch(F(1, 3), F(2, 3), 12, 500, RngStream(48))
+        assert parts.shape[0] == 500 and (parts.sum(axis=1) == 12).all()
 
     def test_partition_batch_law(self):
         a = F(1, 2)
