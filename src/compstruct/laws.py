@@ -368,9 +368,14 @@ def beta_meander(alpha, theta) -> MeanderLaw:
         raise ValueError(f"need 0 <= alpha < 1 and theta > 0, got {(alpha, theta)}")
 
     def moment(a, b):
-        num = rising(1 - alpha, a) * rising(theta, b)
-        den = rising(1 - alpha + theta, a + b)
-        return _div(num, den, alpha, theta)
+        if is_exact(alpha, theta):
+            return _div(rising(1 - alpha, a) * rising(theta, b),
+                        rising(1 - alpha + theta, a + b))
+        # log-space, as in two_param_q: the rising factorials overflow past
+        # a + b ~ 170
+        s, t = 1.0 - float(alpha), float(theta)
+        return math.exp(math.lgamma(s + a) - math.lgamma(s) + math.lgamma(t + b)
+                        - math.lgamma(t) - math.lgamma(s + t + a + b) + math.lgamma(s + t))
 
     def density(x):
         from scipy.special import beta as beta_fn
@@ -395,7 +400,12 @@ def meander_moments(law: MeanderLaw, n: int, m: int):
     """Psi(n:m) = C(n,m) E[A_1^m (1-A_1)^(n-m)]."""
     if not 0 <= m <= n:
         raise ValueError(f"need 0 <= m <= n, got (n={n}, m={m})")
-    return binom(n, m) * law.moment(m, n - m)
+    moment = law.moment(m, n - m)
+    try:
+        return binom(n, m) * moment
+    except OverflowError:  # an int times a float, with C(n, m) past the float range
+        raise ValueError(f"C({n},{m}) overflows a float: float meander moments "
+                         f"need n <= 1029") from None
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +487,8 @@ def two_param_stationary_pair(alpha, theta, N: Optional[int] = None) -> Decremen
     q* comes from it through the Beta(1-alpha, theta) meander.  Equal to
     ``stationary_pair(two_param_levy(alpha, theta), beta_meander(alpha,
     theta))`` without the alternating Levy-binomial sums, whose float values
-    cancel as n grows; float rows sum to 1 within about 1e-13 up to n = 100.
+    cancel as n grows; float rows sum to 1 within about 1e-12 up to n = 1000
+    (past n = 1029 a float q* row raises ``ValueError``).
     """
     spec, law = two_param_levy(alpha, theta), beta_meander(alpha, theta)
     exact = spec.is_exact

@@ -365,16 +365,19 @@ def _check_theta(theta):
 
 
 def _bits_to_codes(bits):
-    n = bits.shape[1]
-    powers = (np.int64(1) << np.arange(n - 1, -1, -1)).astype(np.int64)
-    return bits.astype(np.int64) @ powers
+    # a (draws, n) bool matrix, right-aligned in 64 columns, packs into one
+    # big-endian 8-byte word per row
+    draws, n = bits.shape
+    padded = np.zeros((draws, 64), dtype=bool)
+    padded[:, 64 - n:] = bits
+    return np.packbits(padded, axis=1).view(">u8").astype(np.int64).ravel()
 
 
 def _ewens_codes(theta, n, draws, g):
     _check_theta(theta)
     _check_size(n, draws)
     theta = float(theta)
-    bits = np.ones((draws, n), dtype=np.int64)
+    bits = np.ones((draws, n), dtype=bool)
     if n > 1:
         js = np.arange(2, n + 1, dtype=float)
         bits[:, 1:] = g.random((draws, n - 1)) < theta / (js + theta - 1.0)
@@ -440,17 +443,17 @@ def _markov_codes(dm, n, draws, g):
 
 
 def _uniform_set_codes(theta, n, draws, g):
-    # Theorem-1 construction: uniforms map to depths e = -log u; the interval
-    # index of depth t is the number of Poisson(theta) arrivals below t
+    # Theorem-1 construction: uniforms map to depths -log u, read left to
+    # right from the deepest.  By Renyi's representation the gap between the
+    # i-th and (i+1)-th deepest depths is an independent Exp(1)/i, and the
+    # (i+1)-th uniform starts a new box iff the rate-theta line process has
+    # a point in that gap, which has probability 1 - exp(-theta * gap)
     _check_theta(theta)
     _check_size(n, draws)
-    e = np.sort(g.exponential(size=(draws, n)), axis=1)
-    diffs = np.diff(np.concatenate([np.zeros((draws, 1)), e], axis=1), axis=1)
-    idx = g.poisson(float(theta) * diffs).cumsum(axis=1)
-    # left-to-right order is descending depth; a 1 starts each new box
-    desc = idx[:, ::-1]
-    bits = np.ones((draws, n), dtype=np.int64)
-    bits[:, 1:] = desc[:, 1:] != desc[:, :-1]
+    bits = np.ones((draws, n), dtype=bool)
+    if n > 1:
+        gaps = g.exponential(size=(draws, n - 1)) / np.arange(1, n)
+        bits[:, 1:] = g.random((draws, n - 1)) < -np.expm1(-float(theta) * gaps)
     return _bits_to_codes(bits)
 
 
@@ -461,7 +464,7 @@ def _poisson_set_codes(theta, n, draws, g):
     _check_theta(theta)
     _check_size(n, draws)
     eps = g.exponential(size=(draws, n)).cumsum(axis=1)
-    bits = np.ones((draws, n), dtype=np.int64)
+    bits = np.ones((draws, n), dtype=bool)
     if n > 1:
         p = 1.0 - (eps[:, :-1] / eps[:, 1:]) ** float(theta)
         bits[:, 1:] = g.random((draws, n - 1)) < p

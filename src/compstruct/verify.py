@@ -188,9 +188,9 @@ def chi_square_gof(counts: Sequence, expected_probs: Sequence,
     df = int(positive.sum()) - 1
     if df <= 0:
         return stat, 1.0, 0
-    from scipy.stats import chi2
+    from scipy.special import chdtrc  # imports far faster than scipy.stats
 
-    return stat, float(chi2.sf(stat, df)), df
+    return stat, float(chdtrc(df, stat)), df
 
 
 def ks_two_sample(xs: Sequence, ys: Sequence):

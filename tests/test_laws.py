@@ -271,6 +271,25 @@ class TestStationaryPair:
         for n in (32, 40, 100):
             assert min(pair.q.row(n)) >= 0 and min(pair.qstar.row(n)) >= 0
 
+    @pytest.mark.parametrize("a, t", [(0.5, 1.0), (1 / 3, 2 / 3)])
+    def test_float_qstar_rows_past_n170(self, a, t):
+        # the meander moments are evaluated in log space, so rows past the
+        # overflow of the rising factorials stay laws
+        pair = two_param_stationary_pair(a, t)
+        for n in (171, 300, 1000):
+            row = pair.qstar.row(n)
+            assert all(v >= 0 for v in row)  # also false for NaN
+            assert abs(sum(row) - 1) <= 1e-9
+
+    def test_float_meander_moments_refuse_float_overflow(self):
+        # C(1030, 515) does not convert to a float
+        law = beta_meander(0.5, 1.0)
+        assert meander_moments(law, 1029, 514) > 0
+        with pytest.raises(ValueError, match="overflows a float"):
+            meander_moments(law, 1030, 515)
+        with pytest.raises(ValueError, match="overflows a float"):
+            two_param_stationary_pair(0.5, 1.0).qstar.row(1100)
+
     def test_float_spec_is_not_exact(self):
         assert not two_param_levy(1 / 3, 2 / 3).is_exact
         assert two_param_levy(F(1, 3), F(2, 3)).is_exact

@@ -28,6 +28,7 @@ from compstruct.stochastic import (RngStream, ScaleInvariantSet,
                                    sample_renewal_string,
                                    sample_scale_invariant_partition,
                                    uniform_sampling_composition)
+from compstruct.stochastic import _bits_to_codes
 from compstruct.verify import chi_square_gof, ks_against_cdf
 
 C = Composition
@@ -155,6 +156,17 @@ class TestStringSamplers:
         codes = batch_ewens_strings(1.0, 63, 100, RngStream(1))
         assert (codes >= 1 << 62).all()
 
+    def test_bits_to_codes_matches_binary_codes(self):
+        rng = np.random.default_rng(3)
+        for n in range(1, 64):
+            bits = rng.random((20, n)) < 0.5
+            bits[:, 0] = True
+            want = [Composition.from_binary("".join("1" if b else "0" for b in row)).code
+                    for row in bits]
+            codes = _bits_to_codes(bits)
+            assert codes.dtype == np.int64 and codes.tolist() == want
+        assert (codes > 0).all()
+
     def test_zero_draws(self):
         assert batch_ewens_strings(1.0, 5, 0, RngStream(1)).shape == (0,)
         assert batch_arrangements(np.zeros((0, 3)), 5, 0.5, 0.5, RngStream(1)).shape == (0,)
@@ -233,6 +245,24 @@ class TestScaleInvariantConstructions:
             g = float(potential_from_levy(spec, j, exact=True))
             se = (g * (1 - g) / draws) ** 0.5 if 0 < g < 1 else 1e-9
             assert abs(freq[j - 1] - g) < 4 * se + 1e-12
+
+    @pytest.mark.parametrize("construction", [batch_uniform_construction,
+                                              batch_poisson_construction],
+                             ids=["uniform-set", "poisson-set"])
+    @pytest.mark.parametrize("theta", [0.5, 2.0])
+    def test_ewens_digits_at_n63(self, construction, theta):
+        # both constructions give independent Ewens digits,
+        # P(xi_j = 1) = theta/(j+theta-1), at the largest code size too
+        n, draws = 63, 20000
+        codes = construction(theta, n, draws, RngStream(28))
+        bits = (codes[:, None] >> np.arange(n - 1, -1, -1)) & 1
+        p = theta / (np.arange(1, n + 1) + theta - 1.0)
+        se = np.sqrt(p * (1 - p) / draws)
+        assert (bits[:, 0] == 1).all()
+        assert (np.abs(bits[:, 1:].mean(axis=0) - p[1:]) < 5 * se[1:]).all()
+        # E K_n = sum_j theta/(theta+j-1), Var K_n = sum_j p_j (1-p_j)
+        k_se = np.sqrt((p * (1 - p)).sum() / draws)
+        assert abs(bits.sum(axis=1).mean() - p.sum()) < 5 * k_se
 
 
 class TestFragmentation:

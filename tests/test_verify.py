@@ -1,10 +1,14 @@
 """Consistency checkers: positive runs, negative controls, statistical gates."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
+import compstruct
 from compstruct.composition import Composition
 from compstruct.laws import (DecrementMatrix, DecrementMatrixPair, ewens_cpf,
                              markov_cpf, renewal_cpf, two_param_q,
@@ -135,6 +139,29 @@ class TestChiSquare:
             chi_square_gof([], [])
         with pytest.raises(ValueError):
             chi_square_gof([1, 2], [0.5])
+
+    @pytest.mark.parametrize("cells", [2, 4, 8, 31])
+    def test_pvalue_equals_chi2_sf(self, cells):
+        from scipy.stats import chi2
+
+        probs = [1 / cells] * cells
+        for delta in (0, 3, 10, 30, 60):
+            counts = [100 + delta, 100 - delta] + [100] * (cells - 2)
+            stat, p, df = chi_square_gof(counts, probs)
+            assert df == cells - 1
+            assert p == chi2.sf(stat, df)
+
+    def test_does_not_import_scipy_stats(self):
+        # scipy.stats takes far longer to import than scipy.special
+        code = ("import sys, compstruct\n"
+                "from compstruct.verify import chi_square_gof\n"
+                "chi_square_gof([10, 20], [0.5, 0.5])\n"
+                "assert 'scipy.special' in sys.modules\n"
+                "assert 'scipy.stats' not in sys.modules\n")
+        src = os.path.dirname(os.path.dirname(compstruct.__file__))
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
 class TestKs:
