@@ -96,14 +96,21 @@ def build_pair(family, alpha, theta, matrix_file=None) -> DecrementMatrixPair:
 
 
 def load_matrix_pair(path) -> DecrementMatrixPair:
-    """Read 'kind n r value' lines with kind in {q, q*}."""
+    """Read 'kind n r value' lines with kind in {q, q*}.
+
+    A malformed line, or an entry that a command needs and the file lacks,
+    is a CliError with exit code 2.
+    """
     entries = {"q": {}, "q*": {}}
     for line in Path(path).read_text().splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        kind, n, r, value = line.split()
-        entries[kind][(int(n), int(r))] = tables.parse_value(value)
+        try:
+            kind, n, r, value = line.split()
+            entries[kind][(int(n), int(r))] = tables.parse_value(value)
+        except (KeyError, ValueError, ZeroDivisionError):
+            raise CliError(f"{path}: bad matrix line {line!r}", EXIT_BAD_PARAMS) from None
 
     def make(kind):
         table = entries[kind]
@@ -112,7 +119,7 @@ def load_matrix_pair(path) -> DecrementMatrixPair:
             try:
                 return table[(n, r)]
             except KeyError:
-                raise ValueError(f"matrix file lacks {kind}({n}:{r})") from None
+                raise CliError(f"matrix file lacks {kind}({n}:{r})", EXIT_BAD_PARAMS) from None
 
         return DecrementMatrix(f"{kind}[{path}]", entry)
 
@@ -120,7 +127,8 @@ def load_matrix_pair(path) -> DecrementMatrixPair:
 
 
 def _emit(args, text_lines, tree):
-    body = tables.to_json(tree) if args.format == "json" else "\n".join(text_lines)
+    """Write the requested format; ``text_lines`` and ``tree`` build it lazily."""
+    body = tables.to_json(tree()) if args.format == "json" else "\n".join(text_lines())
     if args.output:
         out = Path(args.output)
         if not out.is_absolute() and os.environ.get("COMPSTRUCT_OUTDIR"):
@@ -139,7 +147,8 @@ def cmd_cpf(args):
     _check_cap(args.n)
     cpf = build_cpf(args.family, _scalar(args.alpha), _scalar(args.theta),
                     args.matrix_file)
-    _emit(args, tables.cpf_table_lines(cpf, args.n), tables.cpf_table_tree(cpf, args.n))
+    _emit(args, lambda: tables.cpf_table_lines(cpf, args.n),
+          lambda: tables.cpf_table_tree(cpf, args.n))
     return EXIT_OK
 
 
@@ -176,8 +185,8 @@ def cmd_sample(args):
                           alpha, theta, args.matrix_file).float_probs(args.n)
     except CliError:
         probs = [0.0] * len(counts)
-    _emit(args, tables.count_table_lines(counts, probs, args.n),
-          tables.count_table_tree(counts, probs, args.n))
+    _emit(args, lambda: tables.count_table_lines(counts, probs, args.n),
+          lambda: tables.count_table_tree(counts, probs, args.n))
     return EXIT_OK
 
 
@@ -200,7 +209,7 @@ def cmd_check(args):
     reports.append(check_right_consistency(cpf, args.n_max))
     reports.append(check_uniform_consistency(cpf, args.n_max))
     reports.append(check_theorem_SL(cpf, args.n_max))
-    _emit(args, tables.report_lines(reports), tables.report_tree(reports))
+    _emit(args, lambda: tables.report_lines(reports), lambda: tables.report_tree(reports))
     return EXIT_OK if all(r.passed for r in reports) else EXIT_CHECK_FAILED
 
 
@@ -214,24 +223,31 @@ def cmd_reconstruct(args):
         return EXIT_RECONSTRUCTION
     N = moments.max_n - 1
     table_n = min(N, args.n or N)
-    lines = (["# q"] + [f"q\t{ln}" for ln in tables.matrix_lines(pair.q, N)]
-             + ["# q*"] + [f"q*\t{ln}" for ln in tables.matrix_lines(pair.qstar, N + 1)]
-             + ["# cpf"] + tables.cpf_table_lines(cpf, table_n))
-    tree = {"q": tables.matrix_lines(pair.q, N),
-            "qstar": tables.matrix_lines(pair.qstar, N + 1),
-            "cpf": tables.cpf_table_tree(cpf, table_n)}
+    ok = None
     if args.roundtrip_family:
         ref = build_cpf(args.roundtrip_family, _scalar(args.alpha), _scalar(args.theta),
                         args.matrix_file)
         ok = all(cpf(c) == ref(c) for m in range(1, table_n + 1)
                  for c in enumerate_compositions(m))
-        lines.append(f"# roundtrip {args.roundtrip_family}: {'pass' if ok else 'FAIL'}")
-        tree["roundtrip"] = bool(ok)
-        if not ok:
-            _emit(args, lines, tree)
-            return EXIT_CHECK_FAILED
+
+    def lines():
+        out = (["# q"] + [f"q\t{ln}" for ln in tables.matrix_lines(pair.q, N)]
+               + ["# q*"] + [f"q*\t{ln}" for ln in tables.matrix_lines(pair.qstar, N + 1)]
+               + ["# cpf"] + tables.cpf_table_lines(cpf, table_n))
+        if ok is not None:
+            out.append(f"# roundtrip {args.roundtrip_family}: {'pass' if ok else 'FAIL'}")
+        return out
+
+    def tree():
+        out = {"q": tables.matrix_lines(pair.q, N),
+               "qstar": tables.matrix_lines(pair.qstar, N + 1),
+               "cpf": tables.cpf_table_tree(cpf, table_n)}
+        if ok is not None:
+            out["roundtrip"] = bool(ok)
+        return out
+
     _emit(args, lines, tree)
-    return EXIT_OK
+    return EXIT_CHECK_FAILED if ok is False else EXIT_OK
 
 
 def arrangement_probs(lam: Partition, alpha, theta) -> list:
@@ -268,8 +284,8 @@ def cmd_arrange(args):
     except (ValueError, TypeError) as exc:
         raise CliError(str(exc), EXIT_BAD_PARAMS) from exc
     counts = codes_to_counts(codes, lam.n)
-    _emit(args, tables.count_table_lines(counts, probs, lam.n),
-          tables.count_table_tree(counts, probs, lam.n))
+    _emit(args, lambda: tables.count_table_lines(counts, probs, lam.n),
+          lambda: tables.count_table_tree(counts, probs, lam.n))
     return EXIT_OK
 
 
@@ -280,7 +296,8 @@ def cmd_fragment(args):
     outer = build_cpf(args.outer, _scalar(args.outer_alpha), _scalar(args.outer_theta))
     inner = build_cpf(args.inner, _scalar(args.inner_alpha), _scalar(args.inner_theta))
     frag = fragment_cpf(outer, inner, max_n=args.n)
-    _emit(args, tables.cpf_table_lines(frag, args.n), tables.cpf_table_tree(frag, args.n))
+    _emit(args, lambda: tables.cpf_table_lines(frag, args.n),
+          lambda: tables.cpf_table_tree(frag, args.n))
     return EXIT_OK
 
 

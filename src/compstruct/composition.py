@@ -8,6 +8,7 @@ are immutable and all operations are pure.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,10 +41,10 @@ class Composition:
     parts: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(int(p) for p in self.parts))
+        object.__setattr__(self, "parts", tuple(map(int, self.parts)))
         if not self.parts:
             raise ValueError("composition needs at least one part")
-        if any(p < 1 for p in self.parts):
+        if min(self.parts) < 1:
             raise ValueError(f"parts must be positive, got {self.parts}")
 
     # -- basic accessors ---------------------------------------------------
@@ -187,13 +188,22 @@ class Partition:
         return ",".join(str(p) for p in self.parts)
 
 
-def enumerate_compositions(n: int, cap: int = MAX_ENUM_N):
-    """All 2^(n-1) compositions of n, in lexicographic order of binary codes."""
+def enumerate_compositions(n: int, cap: int = MAX_ENUM_N) -> tuple:
+    """All 2^(n-1) compositions of n, in lexicographic order of binary codes.
+
+    The tuple is built once per n and then shared: compositions are
+    immutable.  The cache lives as long as the process.
+    """
     if n < 1:
         raise ValueError("n must be positive")
     if n > cap:
         raise ValueError(f"n = {n} exceeds enumeration cap {cap}")
-    return [Composition.from_code(code, n) for code in range(1 << (n - 1), 1 << n)]
+    return _compositions(n)
+
+
+@functools.cache
+def _compositions(n: int) -> tuple:
+    return tuple(Composition.from_code(code, n) for code in range(1 << (n - 1), 1 << n))
 
 
 def enumerate_partitions(n: int) -> list:

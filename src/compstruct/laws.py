@@ -55,17 +55,28 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Cpf:
-    """A law over compositions of every n, evaluable exactly or in floats."""
+    """A law over compositions of every n, evaluable exactly or in floats.
+
+    Each value is computed once per instance: ``evaluate`` must be a pure
+    function of the composition, and ``__call__`` memoises its values by
+    parts.  A table of n keeps 2^(n-1) values alive as long as the instance.
+    """
 
     name: str
     evaluate: Callable[[Composition], object]
     max_n: int = 10 ** 9
     params: tuple = ()
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __call__(self, comp: Composition):
+        try:
+            return self._memo[comp.parts]
+        except KeyError:
+            pass
         if comp.n > self.max_n:
             raise ValueError(f"{self.name}: n = {comp.n} beyond supported {self.max_n}")
-        return self.evaluate(comp)
+        val = self._memo[comp.parts] = self.evaluate(comp)
+        return val
 
     def table(self, n: int):
         """(composition, probability) pairs in deterministic code order."""
@@ -133,6 +144,7 @@ class DecrementMatrix:
         self.name = name
         self._entry = entry
         self._cache = {}
+        self._cdf = {}
 
     def __call__(self, n: int, r: int):
         if not 1 <= r <= n:
@@ -147,6 +159,25 @@ class DecrementMatrix:
 
     def row_sum(self, n: int):
         return sum(self.row(n))
+
+    def cdf(self, n: int):
+        """Cumulative float row n, checked to be a law once and then cached.
+
+        A row with a negative or NaN entry, or whose sum is off 1 by more
+        than 1e-9, raises ValueError on every use.  The array is read-only.
+        """
+        row = self._cdf.get(n)
+        if row is None:
+            import numpy as np
+
+            probs = np.array([float(v) for v in self.row(n)])
+            row = np.cumsum(probs)
+            if not (probs >= 0).all() or not abs(row[-1] - 1.0) <= 1e-9:
+                raise ValueError(f"{self.name} row {n} is not a probability vector: "
+                                 f"min = {probs.min()}, sum = {row[-1]}")
+            row.flags.writeable = False
+            self._cdf[n] = row
+        return row
 
     def float_matrix(self, N: int):
         """(N, N) float array, row n-1 holding q(n:1..n) padded with zeros."""
@@ -217,14 +248,31 @@ def _div(num, den, *params):
 
 
 def markov_cpf(dm: DecrementMatrixPair, max_n: int = 10 ** 9) -> Cpf:
-    """Product-formula CPF: p(lam) = q*(n:lam_l) prod_{k<l} q(Lam_k:lam_k)."""
+    """Product-formula CPF: p(lam) = q*(n:lam_l) prod_{k<l} q(Lam_k:lam_k).
+
+    Every composition extending a prefix mu shares its head product
+    H(mu) = prod_k q(M_k:mu_k), so H is memoised per prefix in this closure,
+    H(mu) = H(mu minus its last part) q(|mu|:mu_last), and p(lam) =
+    q*(n:lam_l) H(lam_1..lam_{l-1}).  A table of n then costs about 2^n
+    multiplications.  Exact values are those of the plain left fold; float
+    values may differ from it in the last bits.
+    """
+    heads = {(): 1}
+
+    def head(mu):
+        # the longest memoised prefix of mu, extended one part at a time
+        k = len(mu)
+        while mu[:k] not in heads:
+            k -= 1
+        val, total = heads[mu[:k]], sum(mu[:k])
+        for j in range(k, len(mu)):
+            total += mu[j]
+            val = val * dm.q(total, mu[j])
+            heads[mu[:j + 1]] = val
+        return val
 
     def ev(comp):
-        val = dm.qstar(comp.n, comp.last_part)
-        sums = comp.partial_sums()
-        for k in range(comp.num_parts - 1):
-            val = val * dm.q(sums[k], comp.parts[k])
-        return val
+        return dm.qstar(comp.n, comp.last_part) * head(comp.parts[:-1])
 
     return Cpf(name=f"markov[{dm.label or dm.q.name}]", evaluate=ev, max_n=max_n)
 

@@ -43,8 +43,15 @@ def binom(n: int, k: int):
 
 
 def rising(x, k: int):
-    """Rising factorial (x)_k = x (x+1) ... (x+k-1); (x)_0 = 1."""
-    out = x ** 0 if isinstance(x, Fraction) else 1
+    """Rising factorial (x)_k = x (x+1) ... (x+k-1); (x)_0 = 1.
+
+    The result has the type of x: int, Fraction or float.  For x = a/b it
+    is the integer product prod (a + i b) over b^k, reduced once.
+    """
+    if isinstance(x, Fraction):
+        a, b = x.numerator, x.denominator
+        return Fraction(math.prod(a + i * b for i in range(k)), b ** k)
+    out = x ** 0
     for i in range(k):
         out = out * (x + i)
     return out

@@ -406,24 +406,14 @@ def _renewal_codes(alpha, n, draws, g):
 
 
 def _markov_codes(dm, n, draws, g):
-    # every row a draw may use must be a law: no negative or NaN entry, and
-    # a sum within 1e-9 of 1
+    # every row a draw may use must be a law (DecrementMatrix.cdf checks it)
     _check_size(n, draws)
-
-    def cdf(matrix, m):
-        probs = np.array([float(v) for v in matrix.row(m)])
-        row = np.cumsum(probs)
-        if not (probs >= 0).all() or not abs(row[-1] - 1.0) <= 1e-9:
-            raise ValueError(f"{matrix.name} row {m} is not a probability vector: "
-                             f"min = {probs.min()}, sum = {row[-1]}")
-        return row
-
     # q_cdf[m-1, r-1] = sum_{r' <= r} q(m:r'); row n is never reached, since
     # the first step draws from q*(n:.)
     q_cdf = np.ones((n, n))
     for m in range(1, n):
-        q_cdf[m - 1, :m] = cdf(dm.q, m)
-    qstar_cdf = cdf(dm.qstar, n)
+        q_cdf[m - 1, :m] = dm.q.cdf(m)
+    qstar_cdf = dm.qstar.cdf(n)
     codes = np.zeros(draws, dtype=np.int64)
     u = g.random(draws)
     r = np.searchsorted(qstar_cdf, u, side="left").astype(np.int64) + 1

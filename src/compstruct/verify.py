@@ -106,16 +106,18 @@ def check_uniform_consistency(cpf: Cpf, n_max: int) -> CheckReport:
 
     def pairs():
         for n in range(2, n_max + 1):
-            upper = enumerate_compositions(n)
-            values = {mu: cpf(mu) for mu in upper}
+            # sums[lam] = n * sum_mu p(mu) kappa(mu, lam); every ball of a
+            # part deletes to the same composition
             sums = {}
-            for mu in upper:
-                p_mu = values[mu]
-                for pos in range(1, n + 1):
+            for mu in enumerate_compositions(n):
+                p_mu = cpf(mu)
+                pos = 0
+                for part in mu.parts:
+                    pos += part
                     lam = mu.delete_ball(pos)
-                    sums[lam] = sums.get(lam, 0) + p_mu / n
+                    sums[lam] = sums.get(lam, 0) + p_mu * part
             for lam in enumerate_compositions(n - 1):
-                yield lam, cpf(lam), sums.get(lam, 0)
+                yield lam, cpf(lam), sums.get(lam, 0) / n
 
     return _run_identity("uniform-consistency", f"{cpf.name}, n<={n_max}", pairs(),
                          _cpf_is_exact(cpf))

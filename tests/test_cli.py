@@ -1,16 +1,35 @@
 """End-to-end CLI: exit codes, tables, determinism, file handling."""
 
 import json
+from fractions import Fraction as F
 
 import pytest
 
+from compstruct import tables
 from compstruct.cli import main
+from compstruct.composition import enumerate_compositions
+from compstruct.laws import markov_cpf, two_param_stationary_pair
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def write_pair(path, pair, N, skip=()):
+    """A markov-table file with rows n <= N of (q, q*), leaving out ``skip``."""
+    lines = [f"{kind} {n} {r} {tables.format_value(m(n, r))}"
+             for n in range(1, N + 1) for r in range(1, n + 1)
+             for kind, m in (("q", pair.q), ("q*", pair.qstar))
+             if (kind, n, r) not in skip]
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def text_rows(out):
+    return dict(line.split("\t")[:2] for line in out.splitlines()
+                if not line.startswith("#"))
 
 
 class TestCpfCommand:
@@ -72,6 +91,51 @@ class TestCpfCommand:
         assert "1/3" in (tmp_path / "table.txt").read_text()
 
 
+    def test_renewal_reversed_table(self, capsys):
+        # the forward n = 3 table read through reversed compositions
+        code, out, _ = run(capsys, "cpf", "--family", "renewal-reversed", "--alpha",
+                           "1/2", "--n", "3")
+        assert code == 0
+        assert text_rows(out) == {"100": "3/8", "101": "1/4", "110": "1/8", "111": "1/4"}
+        assert "# total\t1/1" in out
+
+    def test_markov_table_equals_two_param(self, capsys, tmp_path):
+        mf = write_pair(tmp_path / "pair.txt", two_param_stationary_pair(F(1, 3), F(2, 3)), 6)
+        for fmt in ("text", "json"):
+            code, table, _ = run(capsys, "cpf", "--family", "markov-table",
+                                 "--matrix-file", mf, "--n", "6", "--format", fmt)
+            assert code == 0
+            _, want, _ = run(capsys, "cpf", "--family", "two-param", "--alpha", "1/3",
+                             "--theta", "2/3", "--n", "6", "--format", fmt)
+            assert table.replace(f"table[{mf}]", "stationary[two-param(1/3,2/3)]") == want
+
+    def test_missing_matrix_entry_exit2(self, capsys, tmp_path):
+        mf = write_pair(tmp_path / "pair.txt", two_param_stationary_pair(F(1, 2), 1), 4,
+                        skip={("q*", 4, 2)})
+        code, out, err = run(capsys, "cpf", "--family", "markov-table",
+                             "--matrix-file", mf, "--n", "4")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "lacks q*(4:2)" in err
+
+    def test_malformed_matrix_line_exit2(self, capsys, tmp_path):
+        mf = tmp_path / "pair.txt"
+        mf.write_text("q 1 1 1/1\nz 1 1 1/1\n")
+        code, _, err = run(capsys, "cpf", "--family", "markov-table",
+                           "--matrix-file", str(mf), "--n", "1")
+        assert code == 2 and "bad matrix line" in err
+
+    @pytest.mark.parametrize("fmt, unused", [("text", "cpf_table_tree"),
+                                             ("json", "cpf_table_lines")])
+    def test_builds_only_the_requested_format(self, capsys, monkeypatch, fmt, unused):
+        def refuse(*args):
+            raise AssertionError(f"{unused} built for --format {fmt}")
+
+        monkeypatch.setattr(tables, unused, refuse)
+        code, out, _ = run(capsys, "cpf", "--family", "ewens", "--theta", "1",
+                           "--n", "3", "--format", fmt)
+        assert code == 0 and out
+
+
 class TestSampleCommand:
     def test_counts_and_determinism(self, capsys):
         argv = ("sample", "--family", "ewens", "--theta", "1", "--n", "4",
@@ -108,6 +172,29 @@ class TestSampleCommand:
         code, out, err = run(capsys, "sample", "--n", "4", "--draws", "100",
                              "--seed", "1", *params)
         assert code == 2 and out == "" and err.startswith("error:")
+
+    @pytest.mark.parametrize("alpha, theta", [("1/2", "1"), ("0.5", "1.0")])
+    def test_two_param(self, capsys, alpha, theta):
+        code, out, _ = run(capsys, "sample", "--family", "two-param", "--alpha", alpha,
+                           "--theta", theta, "--n", "5", "--seed", "2", "--draws",
+                           "4000", "--format", "json")
+        assert code == 0
+        tree = json.loads(out)
+        cpf = markov_cpf(two_param_stationary_pair(F(1, 2), 1))
+        want = [4000 * float(cpf(c)) for c in enumerate_compositions(5)]
+        assert tree["draws"] == 4000 and sum(r["count"] for r in tree["rows"]) == 4000
+        assert [r["expected"] for r in tree["rows"]] == pytest.approx(want, rel=1e-12)
+
+    def test_markov_table_matches_two_param(self, capsys, tmp_path):
+        # the same pair read from a file draws the same stream
+        mf = write_pair(tmp_path / "pair.txt", two_param_stationary_pair(F(1, 2), 1), 5)
+        argv = ("--n", "5", "--seed", "4", "--draws", "3000")
+        code, table, _ = run(capsys, "sample", "--family", "markov-table",
+                             "--matrix-file", mf, *argv)
+        assert code == 0
+        _, want, _ = run(capsys, "sample", "--family", "two-param", "--alpha", "1/2",
+                         "--theta", "1", *argv)
+        assert table == want and sum(map(int, text_rows(table).values())) == 3000
 
     def test_log_file(self, capsys, tmp_path):
         log = tmp_path / "draws.log"

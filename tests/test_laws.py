@@ -1,12 +1,13 @@
 """Exact law families: Ewens, renewal, Markov product, Levy calculus."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from compstruct.composition import Composition, Partition, enumerate_compositions
-from compstruct.laws import (DecrementMatrixPair, LevySpec, beta_meander,
+from compstruct.laws import (Cpf, DecrementMatrixPair, LevySpec, beta_meander,
                              ewens_cpf, levy_binomial, levy_exponent,
                              levy_exponent_exact, markov_cpf, meander_moments,
                              partition_law, polya_q, potential_from_levy,
@@ -14,6 +15,8 @@ from compstruct.laws import (DecrementMatrixPair, LevySpec, beta_meander,
                              stationary_pair, two_param_levy, two_param_q,
                              two_param_stationary_pair, upchain_transition)
 from compstruct.ratmath import binom, rising
+from compstruct.structural import reconstruct_markov, structural_moments
+from compstruct.verify import check_right_consistency
 
 C = Composition
 
@@ -449,3 +452,89 @@ def test_closed_form_pair_equals_levy_sum_property(params):
         for m in range(1, n + 1):
             assert closed.q(n, m) == levy.q(n, m)
             assert closed.qstar(n, m) == levy.qstar(n, m)
+
+
+# ---------------------------------------------------------------------------
+# memoised evaluation: per-instance CPF values, prefix-shared Markov products
+
+
+def _left_fold(pair, comp):
+    """p(lam) = q*(n:lam_l) prod_{k<l} q(Lam_k:lam_k), multiplied left to right."""
+    val = pair.qstar(comp.n, comp.last_part)
+    sums = comp.partial_sums()
+    for k in range(comp.num_parts - 1):
+        val = val * pair.q(sums[k], comp.parts[k])
+    return val
+
+
+@settings(max_examples=10, deadline=None)
+@given(alpha_theta(theta_positive=True), st.randoms(use_true_random=False))
+@example((F(1, 2), 1), random.Random(0))
+def test_memoised_markov_cpf_equals_left_fold_property(params, rnd):
+    a, t = params
+    pair = two_param_stationary_pair(a, t)
+    control = DecrementMatrixPair(q=pair.q, qstar=pair.q, label="control")
+    rebuilt, rebuilt_cpf = reconstruct_markov(structural_moments(markov_cpf(pair), 9))
+    comps = [c for n in range(1, 9) for c in enumerate_compositions(n)]
+    for dm, p in ((pair, markov_cpf(pair)), (control, markov_cpf(control)),
+                  (rebuilt, rebuilt_cpf)):
+        # any call order must give the left fold, bit for bit
+        rnd.shuffle(comps)
+        for c in comps:
+            got, want = p(c), _left_fold(dm, c)
+            assert type(got) is type(want) and got == want, (dm.label, c)
+        # a second pass reads the memo
+        assert all(p(c) == _left_fold(dm, c) for c in comps[:20])
+
+
+class TestMemo:
+    def test_same_label_different_entries(self):
+        # caches live on the objects, never under a name or label
+        c = C((2, 1))
+        pairs = [two_param_stationary_pair(a, t) for a, t in ((F(1, 2), 1), (F(1, 3), F(2, 3)))]
+        pairs = [DecrementMatrixPair(q=p.q, qstar=p.q, label="control") for p in pairs]
+        cpfs = [markov_cpf(p) for p in pairs]
+        assert cpfs[0].name == cpfs[1].name
+        assert cpfs[0](c) != cpfs[1](c)
+        assert [p(c) for p in cpfs] == [_left_fold(dm, c) for dm in pairs]
+
+    def test_control_still_fails_right_consistency(self):
+        pair = two_param_stationary_pair(F(1, 3), F(2, 3))
+        control = markov_cpf(DecrementMatrixPair(q=pair.q, qstar=pair.q, label="control"))
+        assert not check_right_consistency(control, 6).passed
+        assert check_right_consistency(markov_cpf(pair), 6).passed
+
+    def test_memo_keeps_max_n_check(self):
+        p = markov_cpf(two_param_stationary_pair(F(1, 2), 1), max_n=3)
+        assert p(C((2, 1))) == p(C((2, 1)))
+        with pytest.raises(ValueError, match="beyond"):
+            p(C((2, 2)))
+
+    def test_evaluate_runs_once_per_composition(self):
+        calls = []
+        base = ewens_cpf(F(1, 2))
+        p = Cpf(name="counted", evaluate=lambda c: calls.append(c) or base(c))
+        for _ in range(3):
+            assert [v for _, v in p.table(5)] == [base(c) for c in enumerate_compositions(5)]
+        assert len(calls) == 16
+
+
+def _naive_rising(x, k):
+    out = x ** 0
+    for i in range(k):
+        out = out * (x + i)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.integers(-20, 20),
+                 st.fractions(min_value=-20, max_value=20, max_denominator=50),
+                 st.floats(min_value=-20, max_value=20)),
+       st.integers(0, 25))
+@example(F(1, 2), 0)
+@example(3, 0)
+@example(0.5, 0)
+def test_rising_equals_naive_product_property(x, k):
+    got = rising(x, k)
+    assert type(got) is type(x)
+    assert got == _naive_rising(x, k)

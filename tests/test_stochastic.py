@@ -146,6 +146,17 @@ class TestStringSamplers:
         # no draw at n = 2 can reach row 3
         assert batch_markov_compositions(pair, 2, 100, RngStream(1)).shape == (100,)
 
+    def test_markov_rows_are_checked_once_per_matrix(self):
+        pair = two_param_stationary_pair(F(1, 2), 1)
+        first = batch_markov_compositions(pair, 6, 500, RngStream(2))
+        assert pair.q.cdf(3) is pair.q.cdf(3) and not pair.q.cdf(3).flags.writeable
+        for _ in range(3):
+            sample_markov_composition(pair, 6, RngStream(3))
+        # cached rows draw the same stream as a fresh matrix
+        assert np.array_equal(batch_markov_compositions(pair, 6, 500, RngStream(2)), first)
+        fresh = two_param_stationary_pair(F(1, 2), 1)
+        assert np.array_equal(batch_markov_compositions(fresh, 6, 500, RngStream(2)), first)
+
     def test_float_markov_at_n40(self):
         # the float stationary rows at n = 40 pass the row check
         codes = batch_markov_compositions(two_param_stationary_pair(0.5, 1.0), 40,

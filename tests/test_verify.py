@@ -7,6 +7,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import compstruct
 from compstruct.composition import Composition
@@ -100,6 +101,42 @@ class TestDecrementRecursions:
         rep = check_decrement_recursions(pair, 6)
         assert not rep.passed
         assert rep.worst is not None
+
+
+    def test_uniform_witness_of_a_perturbed_pair(self):
+        # q*(4:.) moves 1/100 from r = 1 to r = 2: the row still sums to 1,
+        # but the law is no longer sampling consistent
+        pair0 = two_param_stationary_pair(F(1, 2), 1)
+
+        def bumped(n, r):
+            v = pair0.qstar(n, r)
+            return v + {(4, 2): F(1, 100), (4, 1): F(-1, 100)}.get((n, r), 0)
+
+        pair = DecrementMatrixPair(q=pair0.q, qstar=DecrementMatrix("q*", bumped))
+        rep = check_uniform_consistency(markov_cpf(pair), 6)
+        assert not rep.passed
+        assert rep.worst == (C((1, 1, 2)), F(501, 2800), F(6, 35))
+
+
+@st.composite
+def rational_alpha_theta(draw):
+    """Rational alpha in [0, 1) and theta > 0: a stationary (alpha, theta) pair."""
+    a = draw(st.fractions(min_value=0, max_value=F(19, 20), max_denominator=20))
+    return a, draw(st.fractions(min_value=F(1, 20), max_value=3, max_denominator=20))
+
+
+@settings(max_examples=15, deadline=None)
+@given(rational_alpha_theta())
+@example((F(1, 2), 1))
+@example((0, F(3, 2)))
+def test_stationary_cpf_is_consistent_property(params):
+    pair = two_param_stationary_pair(*params)
+    cpf = markov_cpf(pair)
+    for check in (check_right_consistency, check_uniform_consistency):
+        rep = check(cpf, 7)
+        assert rep.passed and rep.mode == "exact", str(rep)
+    rep = check_decrement_recursions(pair, 12)
+    assert rep.passed and rep.mode == "exact", str(rep)
 
 
 class TestChiSquare:
