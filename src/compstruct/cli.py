@@ -98,11 +98,16 @@ def build_pair(family, alpha, theta, matrix_file=None) -> DecrementMatrixPair:
 def load_matrix_pair(path) -> DecrementMatrixPair:
     """Read 'kind n r value' lines with kind in {q, q*}.
 
-    A malformed line, or an entry that a command needs and the file lacks,
-    is a CliError with exit code 2.
+    An unreadable file, a malformed line, or an entry that a command needs
+    and the file lacks, is a CliError with exit code 2.
     """
     entries = {"q": {}, "q*": {}}
-    for line in Path(path).read_text().splitlines():
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise CliError(f"cannot read matrix file {path}: {exc.strerror}",
+                       EXIT_BAD_PARAMS) from None
+    for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue

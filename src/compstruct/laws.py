@@ -179,15 +179,6 @@ class DecrementMatrix:
             self._cdf[n] = row
         return row
 
-    def float_matrix(self, N: int):
-        """(N, N) float array, row n-1 holding q(n:1..n) padded with zeros."""
-        import numpy as np
-
-        out = np.zeros((N, N))
-        for n in range(1, N + 1):
-            out[n - 1, :n] = [float(v) for v in self.row(n)]
-        return out
-
 
 @dataclass(frozen=True)
 class DecrementMatrixPair:
@@ -489,9 +480,12 @@ def _meander_pair(q: DecrementMatrix, law: MeanderLaw, label: str,
     With ``N``, every row n <= N of both matrices must sum to 1 (exactly, or
     within 1e-9 in float mode).
     """
+    psi0 = {}  # Psi(n:0), shared by the n entries of q* row n
 
     def qstar_fn(n, m):
-        return meander_moments(law, n, 0) * q(n, m) + meander_moments(law, n, m)
+        if n not in psi0:
+            psi0[n] = meander_moments(law, n, 0)
+        return psi0[n] * q(n, m) + meander_moments(law, n, m)
 
     qstar = DecrementMatrix(f"q*[{law.label or 'meander'}]", qstar_fn)
     pair = DecrementMatrixPair(q=q, qstar=qstar, label=f"stationary[{label}]")

@@ -17,17 +17,6 @@ def is_exact(*values) -> bool:
     return all(isinstance(v, (int, Fraction)) for v in values)
 
 
-def as_exact(value):
-    """Coerce ints/strings like '1/2' to Fraction; floats are rejected."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    raise TypeError(f"not an exact scalar: {value!r}")
-
-
 def parse_scalar(text: str):
     """CLI-boundary parser: 'p/q' stays exact, a decimal forces float mode."""
     text = text.strip()

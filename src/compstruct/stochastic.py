@@ -1,12 +1,15 @@
-"""Randomised constructions: string samplers, decreasing-chain sampling,
+"""Randomised constructions: string samplers grown ball by ball,
 stick-breaking, scale-invariant Poisson sets, the two uniform/Poisson
 sampling constructions, fragmentation, and the size-biased arrangement
 algorithm.
 
 Each sampled law has one vectorised numpy kernel that draws many
 compositions at once from an ``np.random.Generator`` and returns them as
-integer binary codes (MSB = first digit).  The ``batch_*`` functions run a
-kernel on a seeded :class:`RngStream`; the per-draw string, Markov and
+integer binary codes (MSB = first digit).  The right-consistent string laws
+(Ewens, forward renewal, Markov product form) share one kernel that grows a
+composition ball by ball; each law supplies only its hazard table, the
+probability that the next ball opens a new part.  The ``batch_*`` functions
+run a kernel on a seeded :class:`RngStream`; the per-draw string, Markov and
 arrangement samplers are single-draw calls of the same kernels.  The lazy
 interval-partition and atom-set objects are independent reference
 constructions, convenient for inspection.
@@ -23,7 +26,6 @@ import numpy as np
 
 from .composition import Composition, Partition, enumerate_partitions
 from .laws import Cpf, DecrementMatrixPair, _check_alpha_theta, partition_law
-from .ratmath import factorial, rising
 
 __all__ = [
     "RngStream",
@@ -39,7 +41,6 @@ __all__ = [
     "fragment_sample",
     "fragment_cpf",
     "arrange_partition",
-    "renewal_spacing_cdf",
     "batch_ewens_strings",
     "batch_renewal_strings",
     "batch_markov_compositions",
@@ -76,34 +77,29 @@ def _as_rng(rng) -> np.random.Generator:
 
 
 # ---------------------------------------------------------------------------
-# string samplers and the decreasing chain
+# string samplers and stick-breaking
 
 
 def sample_bernoulli_string(theta, n: int, rng) -> Composition:
     """Independent digits with P(xi_j = 1) = theta/(j+theta-1); xi_1 = 1."""
-    return Composition.from_code(int(_ewens_codes(theta, n, 1, _as_rng(rng))[0]), n)
-
-
-def renewal_spacing_cdf(alpha, n: int) -> np.ndarray:
-    """cdf[r-1] = P(X <= r) for the renewal spacing P(X=r) = alpha(1-alpha)_{r-1}/r!."""
-    probs = [float(alpha * rising(1 - alpha, r - 1)) / factorial(r)
-             for r in range(1, n + 1)]
-    return np.cumsum(probs)
+    return _draw_one(_ewens_hazard(theta), n, rng)
 
 
 def sample_renewal_string(alpha, n: int, rng) -> Composition:
     """1s at the renewal times R_k = 1 + X_1 + ... + X_k, truncated at n."""
-    return Composition.from_code(int(_renewal_codes(alpha, n, 1, _as_rng(rng))[0]), n)
+    return _draw_one(_renewal_hazard(alpha), n, rng)
 
 
 def sample_markov_composition(dm: DecrementMatrixPair, n: int, rng) -> Composition:
-    """Exact product-formula sampler: last part from q*(n:.), then q(rem:.).
+    """Exact product-formula sampler, growing the composition ball by ball.
 
-    Every row it may use must be a probability vector summing to 1 within
-    1e-9.
+    Ball m+1 opens a new part with probability q*(m+1:1) q(m:r) / q*(m:r),
+    r the last part of the first m balls.  q rows 1..n-1 and q* rows 1..n
+    must each be a probability vector summing to 1 within 1e-9, and the pair
+    must be right-consistent: q*(m+1:1) q(m:r) + q*(m+1:r+1) = q*(m:r)
+    within 1e-9 for every m < n.  Otherwise it raises ValueError.
     """
-    code = _markov_codes(dm, n, 1, _as_rng(rng))[0]
-    return Composition.from_code(int(code), n)
+    return _draw_one(_markov_hazard(dm), n, rng)
 
 
 def sample_gem(alpha, theta, k: int, rng) -> list:
@@ -153,13 +149,6 @@ class ScaleInvariantSet:
         while not self._up or self._up[-1] < limit:
             last = self._up[-1] if self._up else 0.0
             self._up.append(last + self._rng.exponential(1.0 / self.theta))
-
-    def atoms_below(self, count: int) -> list:
-        """The largest ``count`` atoms below 1, decreasing."""
-        while len(self._down) < count:
-            last = self._down[-1] if self._down else 0.0
-            self._down.append(last + self._rng.exponential(1.0 / self.theta))
-        return [math.exp(-g) for g in self._down[:count]]
 
     def has_atom_in(self, a: float, b: float) -> bool:
         """Whether the atom set meets the compact interval [a, b], 0 < a <= b."""
@@ -373,63 +362,74 @@ def _bits_to_codes(bits):
     return np.packbits(padded, axis=1).view(">u8").astype(np.int64).ravel()
 
 
-def _ewens_codes(theta, n, draws, g):
-    _check_theta(theta)
+def _growth_codes(hazard, n, draws, g):
+    # grow every draw one ball at a time: given m balls and a last part of
+    # r, ball m+1 opens a new part with probability h[m-1, r-1], else it
+    # extends the last part.  hazard(n) gives the table h for m, r < n (or
+    # anything that broadcasts to it).  One column of uniforms per ball, so
+    # the first m digits of a draw at n are the draw at m from the same
+    # stream
     _check_size(n, draws)
+    h = np.broadcast_to(hazard(n), (n - 1, n - 1))
+    codes = np.ones(draws, dtype=np.int64)
+    last = np.zeros(draws, dtype=np.intp)  # r - 1, reset to 0 by a new part
+    u = np.empty(draws)
+    for m in range(1, n):
+        g.random(out=u)
+        new = u < h[m - 1].take(last)
+        codes <<= 1
+        codes |= new
+        last += 1
+        last *= ~new
+    return codes
+
+
+def _draw_one(hazard, n, rng) -> Composition:
+    return Composition.from_code(int(_growth_codes(hazard, n, 1, _as_rng(rng))[0]), n)
+
+
+def _ewens_hazard(theta):
+    # h = theta/(m+theta): each digit is an independent Bernoulli
+    _check_theta(theta)
     theta = float(theta)
-    bits = np.ones((draws, n), dtype=bool)
-    if n > 1:
-        js = np.arange(2, n + 1, dtype=float)
-        bits[:, 1:] = g.random((draws, n - 1)) < theta / (js + theta - 1.0)
-    return _bits_to_codes(bits)
+    return lambda n: theta / (np.arange(1, n)[:, None] + theta)
 
 
-def _renewal_codes(alpha, n, draws, g):
+def _renewal_hazard(alpha):
+    # h = alpha/r = P(X = r)/P(X >= r), the hazard of the Sibuya spacing
+    # P(X = r) = alpha (1-alpha)_{r-1} / r!
     if not 0 < alpha < 1:
         raise ValueError(f"alpha must be in (0,1), got {alpha}")
-    _check_size(n, draws)
-    # u beyond cdf[-1] means the next renewal falls outside the first n digits
-    cdf = renewal_spacing_cdf(alpha, n)
-    codes = np.full(draws, np.int64(1) << (n - 1), dtype=np.int64)
-    cur = np.ones(draws, dtype=np.int64)
-    active = cur < n
-    while active.any():
-        u = g.random(active.sum())
-        x = np.searchsorted(cdf, u, side="left") + 1
-        cur_active = cur[active] + x
-        hit = cur_active <= n
-        idx = np.flatnonzero(active)
-        codes[idx[hit]] |= np.int64(1) << (n - cur_active[hit])
-        cur[idx] = cur_active
-        active = cur < n
-    return codes
+    alpha = float(alpha)
+    return lambda n: alpha / np.arange(1, n)
 
 
-def _markov_codes(dm, n, draws, g):
-    # every row a draw may use must be a law (DecrementMatrix.cdf checks it)
-    _check_size(n, draws)
-    # q_cdf[m-1, r-1] = sum_{r' <= r} q(m:r'); row n is never reached, since
-    # the first step draws from q*(n:.)
-    q_cdf = np.ones((n, n))
-    for m in range(1, n):
-        q_cdf[m - 1, :m] = dm.q.cdf(m)
-    qstar_cdf = dm.qstar.cdf(n)
-    codes = np.zeros(draws, dtype=np.int64)
-    u = g.random(draws)
-    r = np.searchsorted(qstar_cdf, u, side="left").astype(np.int64) + 1
-    np.minimum(r, n, out=r)
-    m = np.full(draws, n, dtype=np.int64)
-    codes |= np.int64(1) << (n - (m - r + 1))
-    m -= r
-    while (m > 0).any():
-        act = np.flatnonzero(m > 0)
-        u = g.random(act.size)
-        rows = q_cdf[m[act] - 1]
-        r = (u[:, None] > rows).sum(axis=1).astype(np.int64) + 1
-        np.minimum(r, m[act], out=r)
-        codes[act] |= np.int64(1) << (n - (m[act] - r + 1))
-        m[act] -= r
-    return codes
+def _markov_hazard(dm):
+    # h = q*(m+1:1) q(m:r) / q*(m:r) by right consistency of the product
+    # form, and 0 where q*(m:r) = 0: no draw reaches that state
+    def table(n):
+        # every row a draw reads must be a law (DecrementMatrix.cdf checks
+        # it): q rows 1..n-1 and q* rows 1..n
+        q = np.zeros((n - 1, n - 1))
+        qs = np.zeros((n, n))
+        for m in range(1, n + 1):
+            if m < n:
+                dm.q.cdf(m)
+                q[m - 1, :m] = [float(v) for v in dm.q.row(m)]
+            dm.qstar.cdf(m)
+            qs[m - 1, :m] = [float(v) for v in dm.qstar.row(m)]
+        # q*(m+1:1) q(m:r), q*(m+1:r+1) and q*(m:r) for m, r < n; every
+        # entry with r > m is 0
+        new, extend, here = qs[1:, :1] * q, qs[1:, 1:], qs[:-1, :-1]
+        err = np.abs(new + extend - here)
+        if not err.max(initial=0.0) <= 1e-9:
+            m, r = np.unravel_index(np.argmax(err), err.shape)
+            raise ValueError(f"{dm.label or dm.qstar.name} is not right-consistent: "
+                             f"q*({m + 2}:1) q({m + 1}:{r + 1}) + q*({m + 2}:{r + 2}) - "
+                             f"q*({m + 1}:{r + 1}) = {err[m, r]:.3g}")
+        return np.divide(new, here, out=np.zeros_like(new), where=here > 0)
+
+    return table
 
 
 def _uniform_set_codes(theta, n, draws, g):
@@ -511,18 +511,18 @@ def _kernel_rng(stream: RngStream, salt: int = 0) -> np.random.Generator:
 
 
 def batch_ewens_strings(theta, n: int, draws: int, stream: RngStream) -> np.ndarray:
-    return _ewens_codes(theta, n, draws, _kernel_rng(stream))
+    return _growth_codes(_ewens_hazard(theta), n, draws, _kernel_rng(stream))
 
 
 def batch_renewal_strings(alpha, n: int, draws: int, stream: RngStream) -> np.ndarray:
-    return _renewal_codes(alpha, n, draws, _kernel_rng(stream))
+    return _growth_codes(_renewal_hazard(alpha), n, draws, _kernel_rng(stream))
 
 
 def batch_markov_compositions(dm: DecrementMatrixPair, n: int, draws: int,
                               stream: RngStream) -> np.ndarray:
-    """Product-formula draws; every row used must be a probability vector
-    summing to 1 within 1e-9."""
-    return _markov_codes(dm, n, draws, _kernel_rng(stream))
+    """Product-formula draws, as ``sample_markov_composition``: q rows 1..n-1
+    and q* rows 1..n must be laws and the pair right-consistent."""
+    return _growth_codes(_markov_hazard(dm), n, draws, _kernel_rng(stream))
 
 
 def batch_uniform_construction(theta, n: int, draws: int, stream: RngStream) -> np.ndarray:

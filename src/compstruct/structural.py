@@ -38,12 +38,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class StructuralMoments:
-    """p(1..N) with p(n) = E V^(n-1); p(1) = 1."""
+    """p(1..N) with p(n) = E V^(n-1); p(1) = 1, or within 1e-9 for a float."""
 
     p: tuple
 
     def __post_init__(self):
-        if not self.p or self.p[0] != 1:
+        p1 = self.p[0] if self.p else 0
+        if not (p1 == 1 if is_exact(p1) else abs(p1 - 1) <= 1e-9):
             raise ValueError("moment sequence must start with p(1) = 1")
 
     def __call__(self, n: int):

@@ -8,7 +8,8 @@ import pytest
 from compstruct import tables
 from compstruct.cli import main
 from compstruct.composition import enumerate_compositions
-from compstruct.laws import markov_cpf, two_param_stationary_pair
+from compstruct.laws import (DecrementMatrixPair, markov_cpf, two_param_q,
+                             two_param_stationary_pair)
 
 
 def run(capsys, *argv):
@@ -124,6 +125,12 @@ class TestCpfCommand:
                            "--matrix-file", str(mf), "--n", "1")
         assert code == 2 and "bad matrix line" in err
 
+    def test_missing_matrix_file_exit2(self, capsys, tmp_path):
+        code, out, err = run(capsys, "cpf", "--family", "markov-table",
+                             "--matrix-file", str(tmp_path / "absent.txt"), "--n", "3")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "cannot read matrix file" in err
+
     @pytest.mark.parametrize("fmt, unused", [("text", "cpf_table_tree"),
                                              ("json", "cpf_table_lines")])
     def test_builds_only_the_requested_format(self, capsys, monkeypatch, fmt, unused):
@@ -196,6 +203,15 @@ class TestSampleCommand:
                          "--theta", "1", *argv)
         assert table == want and sum(map(int, text_rows(table).values())) == 3000
 
+    def test_markov_table_that_is_not_right_consistent_exit2(self, capsys, tmp_path):
+        # the q* := q control has laws for rows, but no growth hazard
+        q = two_param_q(F(1, 2), 1)
+        mf = write_pair(tmp_path / "control.txt", DecrementMatrixPair(q=q, qstar=q), 6)
+        code, out, err = run(capsys, "sample", "--family", "markov-table",
+                             "--matrix-file", mf, "--n", "6", "--seed", "1")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "not right-consistent" in err
+
     def test_log_file(self, capsys, tmp_path):
         log = tmp_path / "draws.log"
         code, _, _ = run(capsys, "sample", "--family", "ewens", "--theta", "1",
@@ -213,6 +229,14 @@ class TestCheckCommand:
                            "1/2", "--theta", "1", "--n-max", "6")
         assert code == 0
         assert "[pass]" in out and "[FAIL]" not in out
+
+    def test_decimal_two_param_passes(self, capsys):
+        # float q*(1:1) is 0.9999999999999991; the structural moments take
+        # p(1) within 1e-9 of 1 in float mode
+        code, out, _ = run(capsys, "check", "--family", "two-param", "--alpha",
+                           "0.5", "--theta", "1.0", "--n-max", "7")
+        assert code == 0
+        assert out.count("[pass]") == 4 and "float" in out
 
     def test_regenerative_control_fails(self, capsys):
         code, out, _ = run(capsys, "check", "--family", "two-param", "--alpha",

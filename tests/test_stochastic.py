@@ -11,7 +11,8 @@ from compstruct.composition import (Composition, Partition,
 from compstruct.laws import (DecrementMatrix, DecrementMatrixPair,
                              ewens_cpf, markov_cpf, partition_law,
                              renewal_cpf, sibi_cpf, two_param_levy,
-                             potential_from_levy, two_param_stationary_pair)
+                             potential_from_levy, two_param_q,
+                             two_param_stationary_pair)
 from compstruct.stochastic import (RngStream, ScaleInvariantSet,
                                    arrange_partition, batch_arrangements,
                                    batch_ewens_strings,
@@ -29,6 +30,7 @@ from compstruct.stochastic import (RngStream, ScaleInvariantSet,
                                    sample_scale_invariant_partition,
                                    uniform_sampling_composition)
 from compstruct.stochastic import _bits_to_codes
+from compstruct.structural import expected_num_parts, structural_moments
 from compstruct.verify import chi_square_gof, ks_against_cdf
 
 C = Composition
@@ -181,6 +183,49 @@ class TestStringSamplers:
     def test_zero_draws(self):
         assert batch_ewens_strings(1.0, 5, 0, RngStream(1)).shape == (0,)
         assert batch_arrangements(np.zeros((0, 3)), 5, 0.5, 0.5, RngStream(1)).shape == (0,)
+
+
+class TestGrowthKernel:
+    # the three string laws share one right-growth kernel; the float
+    # stationary (1/2, 1) pair is built once
+    FLOAT_PAIR = two_param_stationary_pair(0.5, 1.0)
+    LAWS = {
+        "ewens": (lambda n, d, s: batch_ewens_strings(1.0, n, d, s), ewens_cpf(1)),
+        "renewal": (lambda n, d, s: batch_renewal_strings(0.5, n, d, s),
+                    renewal_cpf(F(1, 2))),
+        "markov": (lambda n, d, s: batch_markov_compositions(
+            TestGrowthKernel.FLOAT_PAIR, n, d, s),
+            markov_cpf(two_param_stationary_pair(F(1, 2), 1))),
+    }
+
+    @pytest.mark.parametrize("law", LAWS)
+    def test_draws_are_prefix_consistent(self, law):
+        # the first m digits of a draw at n are the draw at m from the same
+        # stream: one sample of the whole sequence C_1, ..., C_n
+        sample, _ = self.LAWS[law]
+        n = 32
+        full = sample(n, 2000, RngStream(51))
+        for m in range(1, n + 1):
+            assert np.array_equal(full >> (n - m), sample(m, 2000, RngStream(51)))
+
+    @pytest.mark.parametrize("law", LAWS)
+    def test_mean_part_count_at_n63(self, law):
+        sample, cpf = self.LAWS[law]
+        n, draws = 63, 100_000
+        parts = np.bitwise_count(sample(n, draws, RngStream(52))).astype(float)
+        exact = float(expected_num_parts(structural_moments(cpf, n), n))
+        se = parts.std() / draws ** 0.5
+        assert abs(parts.mean() - exact) < 5 * se
+
+    def test_markov_refuses_a_pair_that_is_not_right_consistent(self):
+        # the regenerative control q* := q has laws for rows but breaks
+        # q*(m+1:1) q(m:r) + q*(m+1:r+1) = q*(m:r)
+        q = two_param_q(F(1, 2), 1)
+        control = DecrementMatrixPair(q=q, qstar=q)
+        with pytest.raises(ValueError, match="not right-consistent"):
+            batch_markov_compositions(control, 8, 100, RngStream(1))
+        with pytest.raises(ValueError, match="not right-consistent"):
+            sample_markov_composition(control, 8, RngStream(1))
 
 
 class TestGem:

@@ -51,6 +51,13 @@ class TestStructuralMoments:
         with pytest.raises(ValueError):
             StructuralMoments((F(1, 2), F(1, 2)))
 
+    def test_float_first_moment_within_tolerance(self):
+        # a float p(1) may be off 1 by rounding; an exact one may not
+        assert StructuralMoments((1 - 9e-16, 0.5)).max_n == 2
+        for p1 in (1 - 1e-6, float("nan"), F(10 ** 12 - 1, 10 ** 12)):
+            with pytest.raises(ValueError):
+                StructuralMoments((p1, 0.5))
+
 
 class TestBlockCounts:
     def test_rows_are_expected_counts(self):
