@@ -57,27 +57,17 @@ def _check_cap(n):
 
 
 def build_cpf(family, alpha, theta, matrix_file=None):
+    if family in ("two-param", "markov-table"):
+        return markov_cpf(build_pair(family, alpha, theta, matrix_file))
     try:
         if family == "ewens":
             if theta is None:
                 raise CliError("ewens needs --theta", EXIT_BAD_PARAMS)
             return ewens_cpf(theta)
-        if family == "renewal":
+        if family in ("renewal", "renewal-reversed"):
             if alpha is None:
-                raise CliError("renewal needs --alpha", EXIT_BAD_PARAMS)
-            return renewal_cpf(alpha)
-        if family == "renewal-reversed":
-            if alpha is None:
-                raise CliError("renewal-reversed needs --alpha", EXIT_BAD_PARAMS)
-            return renewal_cpf(alpha, reversed_=True)
-        if family == "two-param":
-            if alpha is None or theta is None:
-                raise CliError("two-param needs --alpha and --theta", EXIT_BAD_PARAMS)
-            return markov_cpf(two_param_stationary_pair(alpha, theta))
-        if family == "markov-table":
-            if matrix_file is None:
-                raise CliError("markov-table needs --matrix-file", EXIT_BAD_PARAMS)
-            return markov_cpf(load_matrix_pair(matrix_file))
+                raise CliError(f"{family} needs --alpha", EXIT_BAD_PARAMS)
+            return renewal_cpf(alpha, reversed_=family == "renewal-reversed")
     except ValueError as exc:
         raise CliError(str(exc), EXIT_BAD_PARAMS) from exc
     raise CliError(f"unknown family {family!r}", EXIT_BAD_PARAMS)
@@ -86,13 +76,25 @@ def build_cpf(family, alpha, theta, matrix_file=None):
 def build_pair(family, alpha, theta, matrix_file=None) -> DecrementMatrixPair:
     try:
         if family == "two-param":
+            if alpha is None or theta is None:
+                raise CliError("two-param needs --alpha and --theta", EXIT_BAD_PARAMS)
             return two_param_stationary_pair(alpha, theta)
         if family == "markov-table":
+            if matrix_file is None:
+                raise CliError("markov-table needs --matrix-file", EXIT_BAD_PARAMS)
             return load_matrix_pair(matrix_file)
     except (ValueError, TypeError) as exc:
         raise CliError(str(exc), EXIT_BAD_PARAMS) from exc
     raise CliError(f"family {family!r} has no decrement-matrix form",
                    EXIT_BAD_PARAMS)
+
+
+def _read_text(path, what) -> str:
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise CliError(f"cannot read {what} {path}: {exc.strerror}",
+                       EXIT_BAD_PARAMS) from None
 
 
 def load_matrix_pair(path) -> DecrementMatrixPair:
@@ -102,12 +104,7 @@ def load_matrix_pair(path) -> DecrementMatrixPair:
     and the file lacks, is a CliError with exit code 2.
     """
     entries = {"q": {}, "q*": {}}
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise CliError(f"cannot read matrix file {path}: {exc.strerror}",
-                       EXIT_BAD_PARAMS) from None
-    for line in text.splitlines():
+    for line in _read_text(path, "matrix file").splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -180,14 +177,17 @@ def cmd_sample(args):
         raise CliError(str(exc), EXIT_BAD_PARAMS) from exc
 
     if args.log_file:
-        with open(args.log_file, "w") as fh:
-            for code in codes:
-                fh.write(format(int(code), f"0{args.n}b") + "\n")
+        try:
+            with open(args.log_file, "w") as fh:
+                for code in codes:
+                    fh.write(format(int(code), f"0{args.n}b") + "\n")
+        except OSError as exc:
+            raise CliError(f"cannot write log file {args.log_file}: {exc.strerror}",
+                           EXIT_BAD_PARAMS) from None
 
     counts = codes_to_counts(codes, args.n)
     try:
-        probs = build_cpf(args.family if args.family != "markov-table" else "markov-table",
-                          alpha, theta, args.matrix_file).float_probs(args.n)
+        probs = build_cpf(args.family, alpha, theta, args.matrix_file).float_probs(args.n)
     except CliError:
         probs = [0.0] * len(counts)
     _emit(args, lambda: tables.count_table_lines(counts, probs, args.n),
@@ -219,7 +219,7 @@ def cmd_check(args):
 
 
 def cmd_reconstruct(args):
-    values = tables.parse_moments(Path(args.moments).read_text())
+    values = tables.parse_moments(_read_text(args.moments, "moments file"))
     try:
         moments = StructuralMoments(tuple(values))
         pair, cpf = reconstruct_markov(moments)

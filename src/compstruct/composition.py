@@ -100,15 +100,6 @@ class Composition:
     def from_code(cls, code: int, n: int) -> "Composition":
         return cls.from_binary(format(code, f"0{n}b"))
 
-    @classmethod
-    def from_string(cls, text: str) -> "Composition":
-        """Parse comma-separated parts, e.g. ``"2,4,1,2"``."""
-        try:
-            parts = tuple(int(tok) for tok in text.split(","))
-        except ValueError:
-            raise ValueError(f"cannot parse composition {text!r}") from None
-        return cls(parts)
-
     def __str__(self):
         return ",".join(str(p) for p in self.parts)
 

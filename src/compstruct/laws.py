@@ -7,8 +7,8 @@ connects them to Levy data of regenerative sets.
 
 Every formula here is a rational function of the parameters, so with
 Fraction-valued parameters all identities can be checked bit-exactly.  Float
-parameters (or a generic tail function) switch the same code paths to float
-mode.
+parameters switch the same code paths to float mode; the mode follows the
+inputs, and no function takes a switch for it.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Optional
 
 from .composition import Composition, Partition, enumerate_compositions
@@ -274,15 +275,14 @@ def markov_cpf(dm: DecrementMatrixPair, max_n: int = 10 ** 9) -> Cpf:
 
 @dataclass(frozen=True)
 class LevySpec:
-    """Drift and tail x -> nu~[x,1] of a Levy measure carried to (0,1].
+    """Drift d and closed-form tail x -> nu~[x,1] of a Levy measure on (0,1].
 
-    ``alpha``/``theta`` mark the closed-form tail x^(-alpha) (1-x)^theta, for
-    which exact rational evaluation of all ratios is available.  A generic
-    ``tail`` callable is handled by float quadrature.
+    ``alpha``/``theta`` mark the tail x^(-alpha) (1-x)^theta; without them
+    the spec is pure drift.  Rational data evaluate exactly, floats in float
+    mode.
     """
 
     drift: object = 0
-    tail: Optional[Callable[[float], float]] = None
     alpha: Optional[object] = None
     theta: Optional[object] = None
     label: str = ""
@@ -295,24 +295,15 @@ class LevySpec:
     def is_exact(self) -> bool:
         if self.is_two_param:
             return is_exact(self.alpha, self.theta, self.drift)
-        return self.tail is None and is_exact(self.drift)
-
-    def tail_value(self, x: float) -> float:
-        if self.is_two_param:
-            return x ** (-float(self.alpha)) * (1.0 - x) ** float(self.theta)
-        if self.tail is None:
-            return 0.0
-        return self.tail(x)
+        return is_exact(self.drift)
 
     def log_moment(self) -> float:
-        """m = int |log(1-x)| nu~(dx) = int tail(x)/(1-x) dx (absolute, float)."""
-        if self.is_two_param:
-            from scipy.special import beta as beta_fn
-
-            return float(beta_fn(1.0 - float(self.alpha), float(self.theta)))
-        if self.tail is None:
+        """m = int |log(1-x)| nu~(dx) = B(1-alpha, theta), 0 for pure drift (float)."""
+        if not self.is_two_param:
             return 0.0
-        return _quad01(lambda x: self.tail_value(x) / (1.0 - x))
+        from scipy.special import beta as beta_fn
+
+        return float(beta_fn(1.0 - float(self.alpha), float(self.theta)))
 
 
 def two_param_levy(alpha, theta) -> LevySpec:
@@ -322,29 +313,17 @@ def two_param_levy(alpha, theta) -> LevySpec:
     return LevySpec(drift=0, alpha=alpha, theta=theta, label=f"two-param({alpha},{theta})")
 
 
-def _quad01(f, tol: float = 1e-12) -> float:
-    """Integrate f over (0,1) with the singularity-prone endpoints split at 1/2."""
-    from scipy.integrate import quad
-
-    left, _ = quad(f, 0.0, 0.5, epsabs=tol, epsrel=tol, limit=200)
-    right, _ = quad(f, 0.5, 1.0, epsabs=tol, epsrel=tol, limit=200)
-    return left + right
-
-
 def levy_exponent(spec: LevySpec, s) -> float:
-    """Levy exponent Phi(s) = d s + s int_0^1 (1-x)^(s-1) tail(x) dx (float)."""
+    """Levy exponent Phi(s) = d s + s B(1-alpha, s+theta) (float)."""
     if s < 0:
         raise ValueError("s must be >= 0")
     if s == 0:
         return 0.0
+    integral = 0.0
     if spec.is_two_param:
         from scipy.special import beta as beta_fn
 
         integral = float(beta_fn(1.0 - float(spec.alpha), s + float(spec.theta)))
-    elif spec.tail is None:
-        integral = 0.0
-    else:
-        integral = _quad01(lambda x: (1.0 - x) ** (s - 1) * spec.tail_value(x))
     return float(spec.drift) * s + s * integral
 
 
@@ -354,27 +333,26 @@ def levy_exponent_exact(spec: LevySpec, s: int) -> Fraction:
     For the closed-form tail, Phi(s)/m = s (theta)_s / (1-alpha+theta)_s.  For
     a pure-drift spec the absolute value d*s is returned.
     """
-    if spec.is_two_param:
-        if not spec.is_exact:
-            raise ValueError("exact mode needs rational (alpha, theta)")
-        a, t = Fraction(spec.alpha), Fraction(spec.theta)
-        val = s * rising(t, s) / rising(1 - a + t, s)
-        if spec.drift:
-            raise ValueError("two-parameter spec with drift is not supported exactly")
-        return Fraction(val)
-    if spec.tail is None:
+    if not spec.is_exact:
+        raise ValueError("exact mode needs rational Levy data")
+    if not spec.is_two_param:
         return Fraction(spec.drift) * s
-    raise ValueError("exact Levy exponent needs a closed-form spec")
+    if spec.drift:
+        raise ValueError("two-parameter spec with drift is not supported exactly")
+    a, t = Fraction(spec.alpha), Fraction(spec.theta)
+    return s * rising(t, s) / rising(1 - a + t, s)
 
 
-def levy_binomial(spec: LevySpec, n: int, m: int, exact: Optional[bool] = None):
+def _phi(spec: LevySpec) -> Callable:
+    """s -> Phi(s) in the spec's own mode: exact (m = 1) or float."""
+    return partial(levy_exponent_exact if spec.is_exact else levy_exponent, spec)
+
+
+def levy_binomial(spec: LevySpec, n: int, m: int):
     """Phi(n:m) = C(n,m) sum_{j=0}^m (-1)^(j+1) C(m,j) Phi(n-m+j)."""
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= n, got (n={n}, m={m})")
-    if exact is None:
-        exact = spec.is_exact
-    phi = (lambda s: levy_exponent_exact(spec, s)) if exact else (
-        lambda s: levy_exponent(spec, s))
+    phi = _phi(spec)
     total = 0
     for j in range(m + 1):
         term = binom(m, j) * phi(n - m + j)
@@ -451,23 +429,22 @@ def meander_moments(law: MeanderLaw, n: int, m: int):
 # Stationary pairs and potentials
 
 
-def stationary_pair(spec: LevySpec, law: MeanderLaw, N: Optional[int] = None,
-                    exact: Optional[bool] = None) -> DecrementMatrixPair:
+def stationary_pair(spec: LevySpec, law: MeanderLaw,
+                    N: Optional[int] = None) -> DecrementMatrixPair:
     """Decrement matrices q(n:m) = Phi(n:m)/Phi(n), q* = Psi(n:0) q + Psi(n:m).
 
     The meander law must be the stationary delay of ``spec``; this is checked
-    through the potential identity E(1-A_1) = Phi(1)/(d+m).  This generic path
-    serves any Levy data; the two-parameter family has the closed form
-    ``two_param_stationary_pair``.
+    through the potential identity E(1-A_1) = Phi(1)/(d+m).  The alternating
+    Levy-binomial sums cancel in float mode (a float q row sums to 75.6 at
+    n = 40), so this path is an exact oracle; the two-parameter family has
+    the closed form ``two_param_stationary_pair``.
     """
-    if exact is None:
-        exact = spec.is_exact and is_exact(law.moment(0, 1))
+    exact = spec.is_exact and is_exact(law.moment(0, 1))
     _check_stationary_consistency(spec, law, exact)
-    phi = (lambda s: levy_exponent_exact(spec, s)) if exact else (
-        lambda s: levy_exponent(spec, s))
+    phi = _phi(spec)
 
     def q_fn(n, m):
-        return levy_binomial(spec, n, m, exact=exact) / phi(n)
+        return levy_binomial(spec, n, m) / phi(n)
 
     q = DecrementMatrix(f"q[{spec.label or 'levy'}]", q_fn)
     return _meander_pair(q, law, spec.label, N, exact)
@@ -500,25 +477,11 @@ def _meander_pair(q: DecrementMatrix, law: MeanderLaw, label: str,
 
 
 def _check_stationary_consistency(spec: LevySpec, law: MeanderLaw, exact: bool):
-    lhs = law.moment(0, 1)
-    if exact:
-        if spec.is_two_param:
-            # Phi(1)/(d+m) with d = 0 and Phi normalised by m
-            rhs = levy_exponent_exact(spec, 1)
-        else:
-            # pure drift: Phi(1)/(d+0) = 1 and A_1 must vanish
-            rhs = Fraction(1)
-        if lhs != rhs:
-            raise ValueError(f"meander law inconsistent with Levy data: "
-                             f"E(1-A_1) = {lhs} but Phi(1)/(d+m) = {rhs}")
-    else:
-        dm = float(spec.drift) + spec.log_moment()
-        if dm == 0:
-            raise ValueError("spec has d + m = 0")
-        rhs = levy_exponent(spec, 1) / dm
-        if abs(float(lhs) - rhs) > 1e-9:
-            raise ValueError(f"meander law inconsistent with Levy data: "
-                             f"E(1-A_1) = {float(lhs)} but Phi(1)/(d+m) = {rhs}")
+    """E(1-A_1) must equal g(2) = Phi(1)/(d+m), exactly or within 1e-9."""
+    lhs, rhs = law.moment(0, 1), potential_from_levy(spec, 2)
+    if lhs != rhs if exact else abs(float(lhs) - float(rhs)) > 1e-9:
+        raise ValueError(f"meander law inconsistent with Levy data: "
+                         f"E(1-A_1) = {lhs} but Phi(1)/(d+m) = {rhs}")
 
 
 def two_param_stationary_pair(alpha, theta, N: Optional[int] = None) -> DecrementMatrixPair:
@@ -532,29 +495,28 @@ def two_param_stationary_pair(alpha, theta, N: Optional[int] = None) -> Decremen
     cancel as n grows; float rows sum to 1 within about 1e-12 up to n = 1000
     (past n = 1029 a float q* row raises ``ValueError``).
     """
-    spec, law = two_param_levy(alpha, theta), beta_meander(alpha, theta)
-    exact = spec.is_exact
-    _check_stationary_consistency(spec, law, exact)
-    return _meander_pair(two_param_q(alpha, theta), law, spec.label, N, exact)
+    law = beta_meander(alpha, theta)  # first: its range error is two_param_levy's
+    return _meander_pair(two_param_q(alpha, theta), law, f"two-param({alpha},{theta})",
+                         N, is_exact(alpha, theta))
 
 
-def potential_from_levy(spec: LevySpec, j: int, exact: bool = False):
-    """g(1) = 1; g(j) = Phi(j-1) / ((d+m)(j-1)) for j > 1."""
+def potential_from_levy(spec: LevySpec, j: int):
+    """g(1) = 1; g(j) = Phi(j-1) / ((d+m)(j-1)) for j > 1.
+
+    Exact for rational Levy data, with Phi under the m = 1 normalisation of
+    ``levy_exponent_exact``; float otherwise.
+    """
     if j < 1:
         raise ValueError("j must be >= 1")
     if j == 1:
-        return Fraction(1) if exact else 1.0
-    if exact:
-        if spec.is_two_param:
-            a, t = Fraction(spec.alpha), Fraction(spec.theta)
-            return rising(t, j - 1) / rising(1 - a + t, j - 1)
-        if spec.tail is None and spec.drift:
-            return Fraction(1)  # pure drift: Phi(s) = d s, m = 0
-        raise ValueError("exact potential needs a closed-form spec")
-    dm = float(spec.drift) + spec.log_moment()
+        return Fraction(1) if spec.is_exact else 1.0
+    if spec.is_exact:
+        dm = 1 if spec.is_two_param else spec.drift
+    else:
+        dm = float(spec.drift) + spec.log_moment()
     if dm == 0:
         raise ValueError("d + m = 0: potential undefined")
-    return levy_exponent(spec, j - 1) / (dm * (j - 1))
+    return _phi(spec)(j - 1) / (dm * (j - 1))
 
 
 def upchain_transition(q: DecrementMatrix, g: Callable[[int], object],

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import truediv
 from typing import List, Optional, Sequence
 
 from .composition import Composition, enumerate_compositions
@@ -144,43 +145,30 @@ def reconstruct_markov(moments: StructuralMoments):
     if N < 1:
         raise ValueError("need at least p(1..2)")
     exact = is_exact(*moments.p)
-
-    qstar_rows = {}
-    for n in range(1, N + 2):
-        row = block_count_row(moments, n)
-        if exact:
-            qstar_rows[n] = [Fraction(r, n) * row[r - 1] for r in range(1, n + 1)]
-        else:
-            qstar_rows[n] = [r * row[r - 1] / n for r in range(1, n + 1)]
+    zero, one = (Fraction(0), Fraction(1)) if exact else (0.0, 1.0)
+    # float moments take float coefficients, even where some moments are
+    # fractions (a moments file whose first line is "1")
+    ratio = Fraction if exact else truediv
+    qstar_rows = {n: size_biased_part_law(moments, n) for n in range(1, N + 2)}
 
     tol = 0 if exact else 1e-9
     one_block = all(abs(moments(k) - 1) <= tol for k in range(1, moments.max_n + 1))
 
-    q_rows = {1: [Fraction(1) if exact else 1.0]}
+    q_rows = {1: [one]}
     if one_block:
         # degenerate single-block law: q* is a point mass at r = n and the
         # interior chain never moves, so no q solve is needed
         for n in range(2, N + 1):
-            q_rows[n] = [Fraction(0) if exact else 0.0] * (n - 1) + [
-                Fraction(1) if exact else 1.0]
+            q_rows[n] = [zero] * (n - 1) + [one]
     else:
         for n in range(1, N + 1):
-            pivot = qstar_rows[n + 1][0]
+            up, pivot = qstar_rows[n + 1], qstar_rows[n + 1][0]
             if pivot == 0 or (not exact and abs(pivot) < 1e-15):
                 raise ReconstructionError(
                     f"q*({n + 1}:1) = 0: no singleton mass, q is not solvable")
-            row = []
-            for r in range(1, n + 1):
-                up_r1 = qstar_rows[n + 1][r] if r + 1 <= n + 1 else 0
-                val = (qstar_rows[n][r - 1]
-                       - Fraction(r + 1, n + 1) * up_r1
-                       - Fraction(n + 1 - r, n + 1) * qstar_rows[n + 1][r - 1]) \
-                    if exact else (
-                    qstar_rows[n][r - 1]
-                    - (r + 1) / (n + 1) * up_r1
-                    - (n + 1 - r) / (n + 1) * qstar_rows[n + 1][r - 1])
-                row.append(val * (n + 1) / pivot)
-            q_rows[n] = row
+            q_rows[n] = [(qstar_rows[n][r - 1] - ratio(r + 1, n + 1) * up[r]
+                          - ratio(n + 1 - r, n + 1) * up[r - 1]) * (n + 1) / pivot
+                         for r in range(1, n + 1)]
 
     for n, row in list(q_rows.items()) + [(n, qstar_rows[n]) for n in qstar_rows]:
         s = sum(row)

@@ -8,6 +8,7 @@ Monte Carlo samplers against exact tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -32,12 +33,6 @@ __all__ = [
 ]
 
 FLOAT_TOL = 1e-9
-
-
-def _frac(a, b, exact):
-    from fractions import Fraction
-
-    return Fraction(a, b) if exact else a / b
 
 
 @dataclass(frozen=True)
@@ -130,16 +125,15 @@ def check_decrement_recursions(dm: DecrementMatrixPair, n_max: int) -> CheckRepo
     def pairs():
         for n in range(1, n_max + 1):
             for r in range(1, n + 1):
-                up_r1 = dm.q(n + 1, r + 1)
                 lhs = dm.q(n, r)
-                rhs = (_frac(r + 1, n + 1, exact) * up_r1
-                       + _frac(n + 1 - r, n + 1, exact) * dm.q(n + 1, r)
-                       + _frac(1, n + 1, exact) * dm.q(n + 1, 1) * dm.q(n, r))
+                rhs = (Fraction(r + 1, n + 1) * dm.q(n + 1, r + 1)
+                       + Fraction(n + 1 - r, n + 1) * dm.q(n + 1, r)
+                       + Fraction(1, n + 1) * dm.q(n + 1, 1) * dm.q(n, r))
                 yield ("q", n, r), lhs, rhs
                 lhs = dm.qstar(n, r)
-                rhs = (_frac(r + 1, n + 1, exact) * dm.qstar(n + 1, r + 1)
-                       + _frac(n + 1 - r, n + 1, exact) * dm.qstar(n + 1, r)
-                       + _frac(1, n + 1, exact) * dm.qstar(n + 1, 1) * dm.q(n, r))
+                rhs = (Fraction(r + 1, n + 1) * dm.qstar(n + 1, r + 1)
+                       + Fraction(n + 1 - r, n + 1) * dm.qstar(n + 1, r)
+                       + Fraction(1, n + 1) * dm.qstar(n + 1, 1) * dm.q(n, r))
                 yield ("q*", n, r), lhs, rhs
 
     return _run_identity("decrement-recursions", f"{dm.label or dm.q.name}, n<={n_max}",

@@ -95,10 +95,10 @@ def test_criterion_03_decrement_calculus():
             phi_n = levy_exponent_exact(spec, n)
             for m in range(1, n + 1):
                 # Levy-binomial path vs closed form, exact
-                assert levy_binomial(spec, n, m, exact=True) / phi_n \
+                assert levy_binomial(spec, n, m) / phi_n \
                     == q_closed(n, m)
                 # float quadrature path
-                fl = levy_binomial(spec, n, m, exact=False) \
+                fl = levy_binomial(two_param_levy(float(a), float(t)), n, m) \
                     / levy_exponent(spec, n)
                 worst_float = max(worst_float, abs(fl - float(q_closed(n, m))))
         assert check_decrement_recursions(
@@ -149,8 +149,8 @@ def test_criterion_07_potential_triple():
     spec = two_param_levy(a, t)
     for j in range(1, 11):
         exact = potential_from_cpf(mom, j)  # E(1-V)^(j-1) via mu_j - mu_{j-1}
-        assert potential_from_levy(spec, j, exact=True) == exact
-        worst = max(worst, abs(potential_from_levy(spec, j, exact=False)
+        assert potential_from_levy(spec, j) == exact
+        worst = max(worst, abs(potential_from_levy(two_param_levy(float(a), float(t)), j)
                                - float(exact)))
     # closed forms
     mom_e = structural_moments(ewens_cpf(2), 11)

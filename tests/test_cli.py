@@ -1,10 +1,14 @@
 """End-to-end CLI: exit codes, tables, determinism, file handling."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 
+import compstruct
 from compstruct import tables
 from compstruct.cli import main
 from compstruct.composition import enumerate_compositions
@@ -131,6 +135,19 @@ class TestCpfCommand:
         assert code == 2 and out == ""
         assert err.startswith("error:") and "cannot read matrix file" in err
 
+    def test_float_two_param_loads_no_scipy(self):
+        # the closed-form pair needs no Levy exponent, so no scipy.special
+        code = ("import sys\n"
+                "from compstruct.cli import main\n"
+                "assert main(['cpf', '--family', 'two-param', '--alpha', '0.5',\n"
+                "             '--theta', '1.0', '--n', '6']) == 0\n"
+                "assert not any(m.split('.')[0] == 'scipy' for m in sys.modules)\n")
+        src = os.path.dirname(os.path.dirname(compstruct.__file__))
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60,
+                       stdout=subprocess.DEVNULL)
+
     @pytest.mark.parametrize("fmt, unused", [("text", "cpf_table_tree"),
                                              ("json", "cpf_table_lines")])
     def test_builds_only_the_requested_format(self, capsys, monkeypatch, fmt, unused):
@@ -212,6 +229,19 @@ class TestSampleCommand:
         assert code == 2 and out == ""
         assert err.startswith("error:") and "not right-consistent" in err
 
+    def test_markov_table_without_file_exit2(self, capsys):
+        code, out, err = run(capsys, "sample", "--family", "markov-table",
+                             "--n", "3", "--seed", "1")
+        assert (code, out) == (2, "")
+        assert err == "error: markov-table needs --matrix-file\n"
+
+    def test_unwritable_log_file_exit2(self, capsys, tmp_path):
+        log = tmp_path / "absent" / "draws.log"
+        code, out, err = run(capsys, "sample", "--family", "ewens", "--theta", "1",
+                             "--n", "3", "--seed", "9", "--log-file", str(log))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "cannot write log file" in err
+
     def test_log_file(self, capsys, tmp_path):
         log = tmp_path / "draws.log"
         code, _, _ = run(capsys, "sample", "--family", "ewens", "--theta", "1",
@@ -229,6 +259,12 @@ class TestCheckCommand:
                            "1/2", "--theta", "1", "--n-max", "6")
         assert code == 0
         assert "[pass]" in out and "[FAIL]" not in out
+
+    def test_two_param_without_alpha_exit2(self, capsys):
+        code, out, err = run(capsys, "check", "--family", "two-param", "--theta", "1",
+                             "--n-max", "5")
+        assert (code, out) == (2, "")
+        assert err == "error: two-param needs --alpha and --theta\n"
 
     def test_decimal_two_param_passes(self, capsys):
         # float q*(1:1) is 0.9999999999999991; the structural moments take
@@ -295,6 +331,12 @@ class TestReconstructCommand:
         mf.write_text("1\n9/10\n8/10\n")
         code, _, err = run(capsys, "reconstruct", "--moments", str(mf))
         assert code == 4 and "infeasible" in err
+
+    def test_missing_moments_file_exit2(self, capsys, tmp_path):
+        code, out, err = run(capsys, "reconstruct", "--moments",
+                             str(tmp_path / "absent.txt"))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "cannot read moments file" in err
 
 
 class TestArrangeCommand:

@@ -194,8 +194,8 @@ class TestLevyCalculus:
             for n in range(1, 11):
                 phi_n = levy_exponent(spec, n)
                 for r in range(1, n + 1):
-                    fl = levy_binomial(spec, n, r, exact=False) / phi_n
-                    ex = float(levy_binomial(spec, n, r, exact=True)
+                    fl = levy_binomial(two_param_levy(float(a), float(t)), n, r) / phi_n
+                    ex = float(levy_binomial(spec, n, r)
                                / levy_exponent_exact(spec, n))
                     assert fl == pytest.approx(ex, abs=1e-9)
 
@@ -208,7 +208,7 @@ class TestLevyCalculus:
     def test_binomial_rows_sum(self):
         spec = two_param_levy(F(1, 2), 1)
         for n in range(1, 9):
-            total = sum(levy_binomial(spec, n, m, exact=True)
+            total = sum(levy_binomial(spec, n, m)
                         for m in range(1, n + 1))
             assert total == levy_exponent_exact(spec, n)
 
@@ -220,15 +220,15 @@ class TestLevyCalculus:
             for n in range(1, 11):
                 phi_n = levy_exponent_exact(spec, n)
                 for r in range(1, n + 1):
-                    assert levy_binomial(spec, n, r, exact=True) / phi_n \
+                    assert levy_binomial(spec, n, r) / phi_n \
                         == closed(n, r)
 
     def test_pure_drift(self):
-        spec = LevySpec(drift=1, tail=None, alpha=None, theta=None,
+        spec = LevySpec(drift=1, alpha=None, theta=None,
                         label="drift")
         assert levy_exponent_exact(spec, 5) == 5
-        assert levy_binomial(spec, 5, 1, exact=True) == 5
-        assert levy_binomial(spec, 5, 2, exact=True) == 0
+        assert levy_binomial(spec, 5, 1) == 5
+        assert levy_binomial(spec, 5, 2) == 0
 
 
 class TestMeander:
@@ -302,7 +302,7 @@ class TestPotentials:
     def test_ewens_closed_form(self):
         spec = two_param_levy(0, F(3, 2))
         for j in range(1, 11):
-            assert potential_from_levy(spec, j, exact=True) == \
+            assert potential_from_levy(spec, j) == \
                 F(3, 2) / (j + F(3, 2) - 1)
 
     def test_two_param_closed_form(self):
@@ -310,17 +310,24 @@ class TestPotentials:
         a, t = F(1, 3), F(2, 3)
         spec = two_param_levy(a, t)
         for j in range(1, 11):
-            assert potential_from_levy(spec, j, exact=True) == \
+            assert potential_from_levy(spec, j) == \
                 rising(t, j - 1) / rising(1 - a + t, j - 1)
+
+    def test_rational_spec_gives_exact_potential(self):
+        # the mode follows the inputs: rational Levy data, exact values
+        spec = two_param_levy(F(1, 2), 1)
+        for j in (1, 2, 5):
+            assert type(potential_from_levy(spec, j)) is F
+        assert type(potential_from_levy(two_param_levy(0.5, 1.0), 5)) is float
 
     def test_upchain_telescoping(self):
         # alpha = 1/2, theta = 0 limit checked via small theta is out of
         # scope; use (1/2, 1): f(j|i) rows must sum to 1
         # float mode: the tail of f(.|i) decays like 1/j^2, so truncating at
         # J leaves ~1/J mass
-        spec = two_param_levy(F(1, 2), 1)
+        spec = two_param_levy(0.5, 1.0)
         q = two_param_q(0.5, 1.0)
-        g = lambda j: potential_from_levy(spec, j, exact=False)
+        g = lambda j: potential_from_levy(spec, j)
         for i in (1, 3):
             terms = [upchain_transition(q, g, i, j)
                      for j in range(i + 1, 4000)]
@@ -330,9 +337,9 @@ class TestPotentials:
     def test_upchain_exact_head_matches_float(self):
         pair = two_param_stationary_pair(F(1, 2), 1)
         spec = two_param_levy(F(1, 2), 1)
-        ge = lambda j: potential_from_levy(spec, j, exact=True)
+        ge = lambda j: potential_from_levy(spec, j)
         qf = two_param_q(0.5, 1.0)
-        gf = lambda j: potential_from_levy(spec, j, exact=False)
+        gf = lambda j: potential_from_levy(two_param_levy(0.5, 1.0), j)
         for i in (1, 2):
             for j in range(i + 1, i + 8):
                 exact = float(upchain_transition(pair.q, ge, i, j))

@@ -298,7 +298,7 @@ class TestScaleInvariantConstructions:
         bits = (codes[:, None] >> np.arange(5, -1, -1)) & 1
         freq = bits.mean(axis=0)
         for j in range(1, 7):
-            g = float(potential_from_levy(spec, j, exact=True))
+            g = float(potential_from_levy(spec, j))
             se = (g * (1 - g) / draws) ** 0.5 if 0 < g < 1 else 1e-9
             assert abs(freq[j - 1] - g) < 4 * se + 1e-12
 

@@ -137,8 +137,8 @@ class TestPotentialFromCpf:
         spec = two_param_levy(a, t)
         for j in range(1, 11):
             exact = potential_from_cpf(mom, j)
-            levy = potential_from_levy(spec, j, exact=True)
-            fl = potential_from_levy(spec, j, exact=False)
+            levy = potential_from_levy(spec, j)
+            fl = potential_from_levy(two_param_levy(float(a), float(t)), j)
             assert exact == levy
             assert fl == pytest.approx(float(exact), abs=1e-8)
 
