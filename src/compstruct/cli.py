@@ -1,9 +1,10 @@
 """Batch command-line front end.
 
-Subcommands: cpf, sample, check, reconstruct, arrange, fragment.  Parameters
-given as "p/q" fractions keep the whole run exact; decimals force float
-mode.  Exit codes: 0 success, 1 failed check, 2 invalid parameters, 3
-enumeration cap exceeded, 4 reconstruction infeasible.
+Subcommands: cpf, sample, check, reconstruct, arrange, fragment.  Every
+family is a decrement-matrix pair, so ``check`` treats all alike.  Fractions
+"p/q" and integers keep the run exact; decimals force float mode.  Exit
+codes: 0 success, 1 failed check, 2 invalid parameters, 3 enumeration cap
+exceeded, 4 reconstruction infeasible.
 """
 
 from __future__ import annotations
@@ -11,12 +12,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import tables
-from .composition import MAX_ENUM_N, Composition, Partition, enumerate_compositions
-from .laws import (DecrementMatrix, DecrementMatrixPair, ewens_cpf, markov_cpf,
-                   renewal_cpf, two_param_q, two_param_stationary_pair)
+from .composition import MAX_ENUM_N, Partition, enumerate_compositions
+from .laws import (Cpf, DecrementMatrix, DecrementMatrixPair, ewens_pair, markov_cpf,
+                   renewal_pair, two_param_stationary_pair)
 from .ratmath import parse_scalar
 from .stochastic import (RngStream, batch_arrangements, batch_ewens_strings,
                          batch_markov_compositions, batch_poisson_construction,
@@ -56,25 +58,17 @@ def _check_cap(n):
                        EXIT_CAP_EXCEEDED)
 
 
-def build_cpf(family, alpha, theta, matrix_file=None):
-    if family in ("two-param", "markov-table"):
-        return markov_cpf(build_pair(family, alpha, theta, matrix_file))
+def build_pair(family, alpha, theta, matrix_file=None) -> DecrementMatrixPair:
+    """The decrement-matrix pair of a family; a missing or bad parameter exits 2."""
     try:
         if family == "ewens":
             if theta is None:
                 raise CliError("ewens needs --theta", EXIT_BAD_PARAMS)
-            return ewens_cpf(theta)
+            return ewens_pair(theta)
         if family in ("renewal", "renewal-reversed"):
             if alpha is None:
                 raise CliError(f"{family} needs --alpha", EXIT_BAD_PARAMS)
-            return renewal_cpf(alpha, reversed_=family == "renewal-reversed")
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_BAD_PARAMS) from exc
-    raise CliError(f"unknown family {family!r}", EXIT_BAD_PARAMS)
-
-
-def build_pair(family, alpha, theta, matrix_file=None) -> DecrementMatrixPair:
-    try:
+            return renewal_pair(alpha, reversed_=family == "renewal-reversed")
         if family == "two-param":
             if alpha is None or theta is None:
                 raise CliError("two-param needs --alpha and --theta", EXIT_BAD_PARAMS)
@@ -85,8 +79,17 @@ def build_pair(family, alpha, theta, matrix_file=None) -> DecrementMatrixPair:
             return load_matrix_pair(matrix_file)
     except (ValueError, TypeError) as exc:
         raise CliError(str(exc), EXIT_BAD_PARAMS) from exc
-    raise CliError(f"family {family!r} has no decrement-matrix form",
-                   EXIT_BAD_PARAMS)
+    raise CliError(f"unknown family {family!r}", EXIT_BAD_PARAMS)
+
+
+def _family_cpf(family, pair: DecrementMatrixPair) -> Cpf:
+    """``markov_cpf`` of ``pair``; the Markov families keep the pair label as name."""
+    cpf = markov_cpf(pair)
+    return cpf if family in ("two-param", "markov-table") else replace(cpf, name=family)
+
+
+def build_cpf(family, alpha, theta, matrix_file=None) -> Cpf:
+    return _family_cpf(family, build_pair(family, alpha, theta, matrix_file))
 
 
 def _read_text(path, what) -> str:
@@ -156,7 +159,11 @@ def cmd_cpf(args):
 
 def cmd_sample(args):
     _check_cap(args.n)
+    if args.method != "string" and args.family != "ewens":
+        raise CliError(f"--method {args.method} samples only --family ewens",
+                       EXIT_BAD_PARAMS)
     alpha, theta = _scalar(args.alpha), _scalar(args.theta)
+    pair = build_pair(args.family, alpha, theta, args.matrix_file)
     stream = RngStream(seed=args.seed, stream=args.stream)
     try:
         if args.family == "ewens":
@@ -168,11 +175,8 @@ def cmd_sample(args):
                 codes = batch_ewens_strings(theta, args.n, args.draws, stream)
         elif args.family == "renewal":
             codes = batch_renewal_strings(alpha, args.n, args.draws, stream)
-        elif args.family in ("two-param", "markov-table"):
-            pair = build_pair(args.family, alpha, theta, args.matrix_file)
-            codes = batch_markov_compositions(pair, args.n, args.draws, stream)
         else:
-            raise CliError(f"no sampler for family {args.family!r}", EXIT_BAD_PARAMS)
+            codes = batch_markov_compositions(pair, args.n, args.draws, stream)
     except (ValueError, TypeError) as exc:
         raise CliError(str(exc), EXIT_BAD_PARAMS) from exc
 
@@ -186,10 +190,7 @@ def cmd_sample(args):
                            EXIT_BAD_PARAMS) from None
 
     counts = codes_to_counts(codes, args.n)
-    try:
-        probs = build_cpf(args.family, alpha, theta, args.matrix_file).float_probs(args.n)
-    except CliError:
-        probs = [0.0] * len(counts)
+    probs = markov_cpf(pair).float_probs(args.n)
     _emit(args, lambda: tables.count_table_lines(counts, probs, args.n),
           lambda: tables.count_table_tree(counts, probs, args.n))
     return EXIT_OK
@@ -197,29 +198,24 @@ def cmd_sample(args):
 
 def cmd_check(args):
     _check_cap(args.n_max)
-    alpha, theta = _scalar(args.alpha), _scalar(args.theta)
-    reports = []
-    if args.family in ("two-param", "markov-table"):
-        pair = build_pair(args.family, alpha, theta, args.matrix_file)
-        if args.control == "regenerative":
-            pair = DecrementMatrixPair(q=pair.q, qstar=pair.q,
-                                       label=pair.label + "[q*:=q]")
-        cpf = markov_cpf(pair)
-        reports.append(check_decrement_recursions(pair, args.n_max - 1))
-    else:
-        cpf = build_cpf(args.family, alpha, theta, args.matrix_file)
-        if args.control == "regenerative":
-            raise CliError("--control regenerative needs a decrement-matrix family",
-                           EXIT_BAD_PARAMS)
-    reports.append(check_right_consistency(cpf, args.n_max))
-    reports.append(check_uniform_consistency(cpf, args.n_max))
-    reports.append(check_theorem_SL(cpf, args.n_max))
+    pair = build_pair(args.family, _scalar(args.alpha), _scalar(args.theta),
+                      args.matrix_file)
+    if args.control == "regenerative":
+        pair = DecrementMatrixPair(q=pair.q, qstar=pair.q, label=pair.label + "[q*:=q]")
+    cpf = markov_cpf(pair) if args.control else _family_cpf(args.family, pair)
+    reports = [check_decrement_recursions(pair, args.n_max - 1),
+               check_right_consistency(cpf, args.n_max),
+               check_uniform_consistency(cpf, args.n_max),
+               check_theorem_SL(cpf, args.n_max)]
     _emit(args, lambda: tables.report_lines(reports), lambda: tables.report_tree(reports))
     return EXIT_OK if all(r.passed for r in reports) else EXIT_CHECK_FAILED
 
 
 def cmd_reconstruct(args):
-    values = tables.parse_moments(_read_text(args.moments, "moments file"))
+    try:
+        values = tables.parse_moments(_read_text(args.moments, "moments file"))
+    except ValueError as exc:
+        raise CliError(f"{args.moments}: {exc}", EXIT_BAD_PARAMS) from None
     try:
         moments = StructuralMoments(tuple(values))
         pair, cpf = reconstruct_markov(moments)

@@ -1,9 +1,9 @@
 """Exact probability laws on compositions.
 
-Covers the parametric composition probability functions (CPFs): the
-Bernoulli-string family, the discrete-renewal family and the two-parameter
-self-similar Markov family, together with the decrement-matrix calculus that
-connects them to Levy data of regenerative sets.
+Each composition probability function (CPF) is the product formula of a
+decrement-matrix pair (q, q*): Bernoulli strings (Ewens), reversed and forward
+discrete renewal, and the two-parameter self-similar Markov family.  The
+decrement-matrix calculus connects the pairs to Levy data of regenerative sets.
 
 Every formula here is a rational function of the parameters, so with
 Fraction-valued parameters all identities can be checked bit-exactly.  Float
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import partial
 from typing import Callable, Optional
@@ -30,7 +30,9 @@ __all__ = [
     "LevySpec",
     "MeanderLaw",
     "ewens_cpf",
+    "ewens_pair",
     "renewal_cpf",
+    "renewal_pair",
     "markov_cpf",
     "polya_q",
     "two_param_q",
@@ -86,52 +88,6 @@ class Cpf:
     def float_probs(self, n: int):
         """Probabilities in code order as floats (for sampling/chi-square)."""
         return [float(self(c)) for c in enumerate_compositions(n)]
-
-    def reversed(self) -> "Cpf":
-        base = self
-
-        def ev(comp):
-            return base(comp.reverse())
-
-        return Cpf(name=base.name + "-reversed", evaluate=ev,
-                   max_n=base.max_n, params=base.params)
-
-
-def ewens_cpf(theta) -> Cpf:
-    """Bernoulli-string CPF: p(lam) = theta^l n! / (theta)_n * prod 1/Lam_j."""
-    if not theta > 0:
-        raise ValueError(f"theta must be positive, got {theta}")
-
-    def ev(comp):
-        n = comp.n
-        num = theta ** comp.num_parts * factorial(n)
-        den = rising(theta, n)
-        val = num / den if isinstance(theta, Fraction) else Fraction(1) * num / den
-        for lam_j in comp.partial_sums():
-            val = val / lam_j
-        return val
-
-    return Cpf(name="ewens", evaluate=ev, params=(theta,))
-
-
-def renewal_cpf(alpha, reversed_: bool = False) -> Cpf:
-    """Discrete-renewal CPF: p(lam) = lam_l alpha^(l-1) prod (1-alpha)_(lam_j-1)/lam_j!.
-
-    With ``reversed_`` the law of the reversed composition is returned.  The
-    forward law (last part = stable meander) is the inner factor of the
-    fragmentation identity in ``stochastic.fragment_cpf``.
-    """
-    if not 0 < alpha < 1:
-        raise ValueError(f"alpha must be in (0,1), got {alpha}")
-
-    def ev(comp):
-        val = comp.last_part * alpha ** (comp.num_parts - 1)
-        for p in comp.parts:
-            val = val * rising(1 - alpha, p - 1) / factorial(p)
-        return val
-
-    cpf = Cpf(name="renewal", evaluate=ev, params=(alpha,))
-    return cpf.reversed() if reversed_ else cpf
 
 
 # ---------------------------------------------------------------------------
@@ -528,6 +484,44 @@ def upchain_transition(q: DecrementMatrix, g: Callable[[int], object],
     if not gi > 0:
         raise ValueError(f"zero potential g({i})")
     return q(j - 1, j - i) * g(j) / gi
+
+
+# ---------------------------------------------------------------------------
+# The Bernoulli-string and renewal families as decrement-matrix pairs
+
+
+def ewens_pair(theta) -> DecrementMatrixPair:
+    """Regenerative pair q = q* = ``two_param_q(0, theta)`` of the Ewens law."""
+    if not theta > 0:
+        raise ValueError(f"theta must be positive, got {theta}")
+    q = two_param_q(0, theta)
+    return DecrementMatrixPair(q=q, qstar=q, label=f"ewens({theta})")
+
+
+def renewal_pair(alpha, reversed_: bool = False) -> DecrementMatrixPair:
+    """Renewal law: the stationary (alpha, alpha) pair, or reversed the
+    regenerative pair q = q* = ``two_param_q(alpha, 0)``."""
+    if not 0 < alpha < 1:
+        raise ValueError(f"alpha must be in (0,1), got {alpha}")
+    if not reversed_:
+        return two_param_stationary_pair(alpha, alpha)
+    q = two_param_q(alpha, 0)
+    return DecrementMatrixPair(q=q, qstar=q, label=f"renewal-reversed({alpha})")
+
+
+def ewens_cpf(theta) -> Cpf:
+    """Bernoulli-string CPF: p(lam) = theta^l n! / (theta)_n * prod 1/Lam_j."""
+    return replace(markov_cpf(ewens_pair(theta)), name="ewens", params=(theta,))
+
+
+def renewal_cpf(alpha, reversed_: bool = False) -> Cpf:
+    """Discrete-renewal CPF: p(lam) = lam_l alpha^(l-1) prod (1-alpha)_(lam_j-1)/lam_j!.
+
+    With ``reversed_``, the law of the reversed composition.  The forward law
+    is the inner factor of the identity in ``stochastic.fragment_cpf``.
+    """
+    name = "renewal-reversed" if reversed_ else "renewal"
+    return replace(markov_cpf(renewal_pair(alpha, reversed_)), name=name, params=(alpha,))
 
 
 # ---------------------------------------------------------------------------

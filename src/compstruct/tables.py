@@ -10,7 +10,8 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .composition import Composition, enumerate_compositions
+from .composition import enumerate_compositions
+from .ratmath import parse_scalar
 
 
 def format_value(v) -> str:
@@ -22,9 +23,8 @@ def format_value(v) -> str:
 
 
 def parse_value(text: str):
-    if "/" in text:
-        return Fraction(text)
-    return float(text)
+    """Inverse of ``format_value`` on finite values: "p/q" and integers exact."""
+    return parse_scalar(text)
 
 
 def cpf_table_lines(cpf, n: int) -> list:
@@ -81,10 +81,13 @@ def parse_moments(text: str) -> list:
         if not line or line.startswith("#"):
             continue
         toks = line.split()
-        if len(toks) == 1:
-            out[len(out) + 1] = parse_value(toks[0])
-        else:
-            out[int(toks[0])] = parse_value(toks[1])
+        try:
+            if len(toks) == 1:
+                out[len(out) + 1] = parse_value(toks[0])
+            else:
+                out[int(toks[0])] = parse_value(toks[1])
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"line {lineno}: bad moment line {line!r}") from None
     return [out[i] for i in sorted(out)]
 
 

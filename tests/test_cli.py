@@ -7,6 +7,7 @@ import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 import compstruct
 from compstruct import tables
@@ -35,6 +36,22 @@ def write_pair(path, pair, N, skip=()):
 def text_rows(out):
     return dict(line.split("\t")[:2] for line in out.splitlines()
                 if not line.startswith("#"))
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(-0.0)
+@example(5e-324)
+@example(1e16)
+def test_float_values_round_trip(x):
+    # every finite float repr is a decimal, so it reads back as the same float
+    back = tables.parse_value(tables.format_value(x))
+    assert type(back) is float and back == x and repr(back) == repr(x)
+
+
+@pytest.mark.parametrize("text, value", [("1", F(1)), ("1/1", F(1)), ("-3/8", F(-3, 8)),
+                                         ("0.5", 0.5), ("1e-05", 1e-05)])
+def test_one_scalar_rule(text, value):
+    assert type(tables.parse_value(text)) is type(value) and tables.parse_value(text) == value
 
 
 class TestCpfCommand:
@@ -190,6 +207,9 @@ class TestSampleCommand:
 
     @pytest.mark.parametrize("params", [("--family", "ewens", "--theta", "-1"),
                                         ("--family", "renewal", "--alpha", "3/2"),
+                                        # the growth sampler refuses a law that is
+                                        # not right-consistent
+                                        ("--family", "renewal-reversed", "--alpha", "1/2"),
                                         ("--family", "ewens", "--theta", "1",
                                          "--method", "poisson-set", "--draws", "-1")])
     def test_out_of_range_param_exit2(self, capsys, params):
@@ -234,6 +254,20 @@ class TestSampleCommand:
                              "--n", "3", "--seed", "1")
         assert (code, out) == (2, "")
         assert err == "error: markov-table needs --matrix-file\n"
+
+    @pytest.mark.parametrize("method", ["uniform-set", "poisson-set"])
+    def test_set_methods_refuse_other_families(self, capsys, method):
+        code, out, err = run(capsys, "sample", "--family", "renewal", "--alpha", "1/2",
+                             "--n", "4", "--seed", "1", "--method", method)
+        assert (code, out) == (2, "")
+        assert err == f"error: --method {method} samples only --family ewens\n"
+
+    @pytest.mark.parametrize("method", ["string", "uniform-set", "poisson-set"])
+    def test_ewens_without_theta_exit2(self, capsys, method):
+        code, out, err = run(capsys, "sample", "--family", "ewens", "--n", "4",
+                             "--seed", "1", "--method", method)
+        assert (code, out) == (2, "")
+        assert err == "error: ewens needs --theta\n"
 
     def test_unwritable_log_file_exit2(self, capsys, tmp_path):
         log = tmp_path / "absent" / "draws.log"
@@ -287,10 +321,33 @@ class TestCheckCommand:
                          "--control", "regenerative")
         assert code == 0
 
-    def test_control_needs_matrix_family(self, capsys):
-        code, _, _ = run(capsys, "check", "--family", "ewens", "--theta", "1",
-                         "--control", "regenerative")
-        assert code == 2
+    def test_control_applies_to_every_family(self, capsys):
+        # Ewens is regenerative (q* = q), so its control is the law itself;
+        # the forward renewal law is the stationary (alpha, alpha) pair, whose
+        # control is not right-consistent
+        code, out, _ = run(capsys, "check", "--family", "ewens", "--theta", "1",
+                           "--control", "regenerative")
+        assert code == 0 and out.count("[pass]") == 4
+        code, out, _ = run(capsys, "check", "--family", "renewal", "--alpha", "1/2",
+                           "--n-max", "8", "--control", "regenerative")
+        assert code == 1 and "[FAIL] right-consistency" in out
+
+    @pytest.mark.parametrize("family, param", [("ewens", ("--theta", "1/2")),
+                                               ("renewal", ("--alpha", "1/2")),
+                                               ("renewal-reversed", ("--alpha", "1/2"))])
+    def test_every_family_runs_the_four_reports(self, capsys, family, param):
+        code, out, _ = run(capsys, "check", "--family", family, *param, "--n-max", "8")
+        reports = [tuple(line.split()[:2]) for line in out.splitlines()]
+        assert [name for _, name in reports] == [
+            "decrement-recursions", "right-consistency", "uniform-consistency",
+            "theorem-S=L"]
+        # the reversed renewal law is sampling consistent, but neither right
+        # consistent nor of the Markov form that Theorem S=L characterises
+        failed = {name for verdict, name in reports if verdict == "[FAIL]"}
+        if family == "renewal-reversed":
+            assert (code, failed) == (1, {"right-consistency", "theorem-S=L"})
+        else:
+            assert (code, failed) == (0, set())
 
     def test_matrix_file_family(self, capsys, tmp_path):
         from fractions import Fraction as F
@@ -331,6 +388,25 @@ class TestReconstructCommand:
         mf.write_text("1\n9/10\n8/10\n")
         code, _, err = run(capsys, "reconstruct", "--moments", str(mf))
         assert code == 4 and "infeasible" in err
+
+    def test_integer_entry_reads_exact(self, capsys, tmp_path):
+        # "1" and "1/1" are the same exact p(1): both files give exact rows
+        outs = []
+        for first in ("1", "1/1"):
+            mf = tmp_path / f"moments-{len(outs)}.txt"
+            mf.write_text(f"{first}\n1/2\n3/8\n5/16\n")
+            code, out, _ = run(capsys, "reconstruct", "--moments", str(mf))
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+        assert "q\t3\t1\t3/5" in outs[0]
+
+    def test_malformed_moments_file_exit2(self, capsys, tmp_path):
+        mf = tmp_path / "moments.txt"
+        mf.write_text("1\nabc\n")
+        code, out, err = run(capsys, "reconstruct", "--moments", str(mf))
+        assert (code, out) == (2, "")
+        assert err == f"error: {mf}: line 2: bad moment line 'abc'\n"
 
     def test_missing_moments_file_exit2(self, capsys, tmp_path):
         code, out, err = run(capsys, "reconstruct", "--moments",

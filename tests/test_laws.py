@@ -8,13 +8,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from compstruct.composition import Composition, Partition, enumerate_compositions
 from compstruct.laws import (Cpf, DecrementMatrixPair, LevySpec, beta_meander,
-                             ewens_cpf, levy_binomial, levy_exponent,
+                             ewens_cpf, ewens_pair, levy_binomial, levy_exponent,
                              levy_exponent_exact, markov_cpf, meander_moments,
                              partition_law, polya_q, potential_from_levy,
-                             pure_drift_meander, renewal_cpf, sibi_cpf,
+                             pure_drift_meander, renewal_cpf, renewal_pair, sibi_cpf,
                              stationary_pair, two_param_levy, two_param_q,
                              two_param_stationary_pair, upchain_transition)
-from compstruct.ratmath import binom, rising
+from compstruct.ratmath import binom, factorial, rising
 from compstruct.structural import reconstruct_markov, structural_moments
 from compstruct.verify import check_right_consistency
 
@@ -107,6 +107,67 @@ class TestRenewal:
         for bad in (0, 1, -F(1, 2)):
             with pytest.raises(ValueError):
                 renewal_cpf(bad)
+
+
+def _ewens_product(theta, comp):
+    """Oracle: p(lam) = theta^l n! / (theta)_n * prod 1/Lam_j."""
+    val = F(theta) ** comp.num_parts * factorial(comp.n) / rising(F(theta), comp.n)
+    for lam_j in comp.partial_sums():
+        val /= lam_j
+    return val
+
+
+def _renewal_product(alpha, comp):
+    """Oracle: p(lam) = lam_l alpha^(l-1) prod (1-alpha)_(lam_j-1) / lam_j!."""
+    val = comp.last_part * alpha ** (comp.num_parts - 1)
+    for part in comp.parts:
+        val *= rising(1 - alpha, part - 1) / factorial(part)
+    return val
+
+
+class TestFamiliesArePairs:
+    # Ewens(theta) is the regenerative pair q = q* = two_param_q(0, theta),
+    # the reversed renewal(alpha) law the regenerative pair two_param_q(alpha,
+    # 0), the forward one the stationary (alpha, alpha) pair
+    @pytest.mark.parametrize("theta", [F(1, 2), 1, F(3, 2), 2])
+    def test_ewens_pair_is_the_product_formula(self, theta):
+        pair = ewens_pair(theta)
+        assert pair.q is pair.qstar
+        p = ewens_cpf(theta)
+        assert (p.name, p.params) == ("ewens", (theta,))
+        for n in range(1, 11):
+            for c in enumerate_compositions(n):
+                assert p(c) == _ewens_product(theta, c)
+
+    @pytest.mark.parametrize("alpha", [F(1, 4), F(1, 3), F(1, 2), F(3, 4)])
+    def test_renewal_pairs_are_the_product_formula(self, alpha):
+        assert renewal_pair(alpha).label == f"stationary[two-param({alpha},{alpha})]"
+        rev_pair = renewal_pair(alpha, reversed_=True)
+        assert rev_pair.q is rev_pair.qstar
+        fwd, rev = renewal_cpf(alpha), renewal_cpf(alpha, reversed_=True)
+        assert (fwd.name, rev.name) == ("renewal", "renewal-reversed")
+        assert fwd.params == rev.params == (alpha,)
+        for n in range(1, 11):
+            for c in enumerate_compositions(n):
+                want = _renewal_product(alpha, c)
+                assert fwd(c) == want and rev(c.reverse()) == want
+
+    @pytest.mark.parametrize("make", [ewens_cpf, renewal_cpf,
+                                      lambda x: renewal_cpf(x, reversed_=True)],
+                             ids=["ewens", "renewal", "renewal-reversed"])
+    def test_float_values_within_1e12_of_exact(self, make):
+        exact, approx = make(F(1, 2)), make(0.5)
+        for n in range(1, 13):
+            for c in enumerate_compositions(n):
+                assert isinstance(approx(c), float)
+                assert approx(c) == pytest.approx(float(exact(c)), rel=1e-12, abs=0)
+
+    def test_parameter_errors(self):
+        with pytest.raises(ValueError, match="theta must be positive, got -1"):
+            ewens_pair(-1)
+        for reversed_ in (False, True):
+            with pytest.raises(ValueError, match=r"alpha must be in \(0,1\), got 1"):
+                renewal_pair(1, reversed_)
 
 
 class TestPolyaAndTwoParam:

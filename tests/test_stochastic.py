@@ -9,8 +9,8 @@ from compstruct.composition import (Composition, Partition,
                                     enumerate_compositions,
                                     enumerate_partitions)
 from compstruct.laws import (DecrementMatrix, DecrementMatrixPair,
-                             ewens_cpf, markov_cpf, partition_law,
-                             renewal_cpf, sibi_cpf, two_param_levy,
+                             ewens_cpf, ewens_pair, markov_cpf, partition_law,
+                             renewal_cpf, renewal_pair, sibi_cpf, two_param_levy,
                              potential_from_levy, two_param_q,
                              two_param_stationary_pair)
 from compstruct.stochastic import (RngStream, ScaleInvariantSet,
@@ -29,7 +29,8 @@ from compstruct.stochastic import (RngStream, ScaleInvariantSet,
                                    sample_renewal_string,
                                    sample_scale_invariant_partition,
                                    uniform_sampling_composition)
-from compstruct.stochastic import _bits_to_codes
+from compstruct.stochastic import (_bits_to_codes, _ewens_hazard, _markov_hazard,
+                                   _renewal_hazard)
 from compstruct.structural import expected_num_parts, structural_moments
 from compstruct.verify import chi_square_gof, ks_against_cdf
 
@@ -216,6 +217,18 @@ class TestGrowthKernel:
         exact = float(expected_num_parts(structural_moments(cpf, n), n))
         se = parts.std() / draws ** 0.5
         assert abs(parts.mean() - exact) < 5 * se
+
+    @pytest.mark.parametrize("closed, pair", [
+        *((_ewens_hazard(t), ewens_pair(t)) for t in (F(1, 2), 1, F(3, 2), 2)),
+        *((_renewal_hazard(a), renewal_pair(a)) for a in (F(1, 4), F(1, 2), F(3, 4)))])
+    def test_closed_form_hazards_are_the_pair_hazards(self, closed, pair):
+        # theta/(m+theta) and alpha/r are the hazard of the Ewens and forward
+        # renewal pairs on every reachable entry r <= m
+        for n in (2, 9, 32):
+            reach = np.tril(np.ones((n - 1, n - 1), dtype=bool))
+            want = _markov_hazard(pair)(n)[reach]
+            got = np.broadcast_to(closed(n), (n - 1, n - 1))[reach]
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
     def test_markov_refuses_a_pair_that_is_not_right_consistent(self):
         # the regenerative control q* := q has laws for rows but breaks
