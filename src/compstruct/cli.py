@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import tables
@@ -82,14 +81,8 @@ def build_pair(family, alpha, theta, matrix_file=None) -> DecrementMatrixPair:
     raise CliError(f"unknown family {family!r}", EXIT_BAD_PARAMS)
 
 
-def _family_cpf(family, pair: DecrementMatrixPair) -> Cpf:
-    """``markov_cpf`` of ``pair``; the Markov families keep the pair label as name."""
-    cpf = markov_cpf(pair)
-    return cpf if family in ("two-param", "markov-table") else replace(cpf, name=family)
-
-
 def build_cpf(family, alpha, theta, matrix_file=None) -> Cpf:
-    return _family_cpf(family, build_pair(family, alpha, theta, matrix_file))
+    return markov_cpf(build_pair(family, alpha, theta, matrix_file))
 
 
 def _read_text(path, what) -> str:
@@ -166,13 +159,12 @@ def cmd_sample(args):
     pair = build_pair(args.family, alpha, theta, args.matrix_file)
     stream = RngStream(seed=args.seed, stream=args.stream)
     try:
-        if args.family == "ewens":
-            if args.method == "uniform-set":
-                codes = batch_uniform_construction(theta, args.n, args.draws, stream)
-            elif args.method == "poisson-set":
-                codes = batch_poisson_construction(theta, args.n, args.draws, stream)
-            else:
-                codes = batch_ewens_strings(theta, args.n, args.draws, stream)
+        if args.method == "uniform-set":
+            codes = batch_uniform_construction(theta, args.n, args.draws, stream)
+        elif args.method == "poisson-set":
+            codes = batch_poisson_construction(theta, args.n, args.draws, stream)
+        elif args.family == "ewens":
+            codes = batch_ewens_strings(theta, args.n, args.draws, stream)
         elif args.family == "renewal":
             codes = batch_renewal_strings(alpha, args.n, args.draws, stream)
         else:
@@ -202,7 +194,7 @@ def cmd_check(args):
                       args.matrix_file)
     if args.control == "regenerative":
         pair = DecrementMatrixPair(q=pair.q, qstar=pair.q, label=pair.label + "[q*:=q]")
-    cpf = markov_cpf(pair) if args.control else _family_cpf(args.family, pair)
+    cpf = markov_cpf(pair)
     reports = [check_decrement_recursions(pair, args.n_max - 1),
                check_right_consistency(cpf, args.n_max),
                check_uniform_consistency(cpf, args.n_max),

@@ -144,6 +144,7 @@ class DecrementMatrixPair:
     q: DecrementMatrix
     qstar: DecrementMatrix
     label: str = ""
+    family: str = ""  # names the CPF (ewens, renewal, ...); else markov[label]
 
 
 def _check_alpha_theta(alpha, theta):
@@ -168,7 +169,10 @@ def two_param_q(alpha, theta) -> DecrementMatrix:
     if not (0 <= alpha < 1 and theta >= 0 and alpha + theta > 0):
         raise ValueError(
             f"need 0 <= alpha < 1, theta >= 0, alpha + theta > 0, got {(alpha, theta)}")
+    return _two_param_q(alpha, theta)
 
+
+def _two_param_q(alpha, theta) -> DecrementMatrix:
     def entry(n, r):
         if r == n and theta == 0:
             # theta -> 0 limit of the closed form (0/0 at face value)
@@ -205,6 +209,11 @@ def markov_cpf(dm: DecrementMatrixPair, max_n: int = 10 ** 9) -> Cpf:
     multiplications.  Exact values are those of the plain left fold; float
     values may differ from it in the last bits.
     """
+    return _product_cpf(dm, max_n=max_n)
+
+
+def _product_cpf(dm: DecrementMatrixPair, params: tuple = (), max_n: int = 10 ** 9) -> Cpf:
+    """``markov_cpf``, with the family's parameters as ``params``."""
     heads = {(): 1}
 
     def head(mu):
@@ -222,7 +231,8 @@ def markov_cpf(dm: DecrementMatrixPair, max_n: int = 10 ** 9) -> Cpf:
     def ev(comp):
         return dm.qstar(comp.n, comp.last_part) * head(comp.parts[:-1])
 
-    return Cpf(name=f"markov[{dm.label or dm.q.name}]", evaluate=ev, max_n=max_n)
+    return Cpf(name=dm.family or f"markov[{dm.label or dm.q.name}]", evaluate=ev,
+               max_n=max_n, params=params)
 
 
 # ---------------------------------------------------------------------------
@@ -487,31 +497,43 @@ def upchain_transition(q: DecrementMatrix, g: Callable[[int], object],
 
 
 # ---------------------------------------------------------------------------
-# The Bernoulli-string and renewal families as decrement-matrix pairs
+# The Bernoulli-string and renewal families as decrement-matrix pairs.  The
+# perfbench tracer wraps every public function, so the family CPFs call
+# private builders and show as one span each (forward renewal also opens the
+# stationary-pair spans).
+
+
+def _ewens_pair(theta) -> DecrementMatrixPair:
+    if not theta > 0:
+        raise ValueError(f"theta must be positive, got {theta}")
+    q = _two_param_q(0, theta)
+    return DecrementMatrixPair(q=q, qstar=q, label=f"ewens({theta})", family="ewens")
+
+
+def _renewal_pair(alpha, reversed_) -> DecrementMatrixPair:
+    if not 0 < alpha < 1:
+        raise ValueError(f"alpha must be in (0,1), got {alpha}")
+    if not reversed_:
+        return replace(two_param_stationary_pair(alpha, alpha), family="renewal")
+    q = _two_param_q(alpha, 0)
+    return DecrementMatrixPair(q=q, qstar=q, label=f"renewal-reversed({alpha})",
+                               family="renewal-reversed")
 
 
 def ewens_pair(theta) -> DecrementMatrixPair:
     """Regenerative pair q = q* = ``two_param_q(0, theta)`` of the Ewens law."""
-    if not theta > 0:
-        raise ValueError(f"theta must be positive, got {theta}")
-    q = two_param_q(0, theta)
-    return DecrementMatrixPair(q=q, qstar=q, label=f"ewens({theta})")
+    return _ewens_pair(theta)
 
 
 def renewal_pair(alpha, reversed_: bool = False) -> DecrementMatrixPair:
     """Renewal law: the stationary (alpha, alpha) pair, or reversed the
     regenerative pair q = q* = ``two_param_q(alpha, 0)``."""
-    if not 0 < alpha < 1:
-        raise ValueError(f"alpha must be in (0,1), got {alpha}")
-    if not reversed_:
-        return two_param_stationary_pair(alpha, alpha)
-    q = two_param_q(alpha, 0)
-    return DecrementMatrixPair(q=q, qstar=q, label=f"renewal-reversed({alpha})")
+    return _renewal_pair(alpha, reversed_)
 
 
 def ewens_cpf(theta) -> Cpf:
     """Bernoulli-string CPF: p(lam) = theta^l n! / (theta)_n * prod 1/Lam_j."""
-    return replace(markov_cpf(ewens_pair(theta)), name="ewens", params=(theta,))
+    return _product_cpf(_ewens_pair(theta), params=(theta,))
 
 
 def renewal_cpf(alpha, reversed_: bool = False) -> Cpf:
@@ -520,8 +542,7 @@ def renewal_cpf(alpha, reversed_: bool = False) -> Cpf:
     With ``reversed_``, the law of the reversed composition.  The forward law
     is the inner factor of the identity in ``stochastic.fragment_cpf``.
     """
-    name = "renewal-reversed" if reversed_ else "renewal"
-    return replace(markov_cpf(renewal_pair(alpha, reversed_)), name=name, params=(alpha,))
+    return _product_cpf(_renewal_pair(alpha, reversed_), params=(alpha,))
 
 
 # ---------------------------------------------------------------------------

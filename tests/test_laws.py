@@ -162,6 +162,15 @@ class TestFamiliesArePairs:
                 assert isinstance(approx(c), float)
                 assert approx(c) == pytest.approx(float(exact(c)), rel=1e-12, abs=0)
 
+    def test_family_names_the_cpf(self):
+        # markov_cpf names a family's pair after the family; a pair built
+        # without one, such as the q* := q control, keeps markov[label]
+        for pair, name in ((ewens_pair(1), "ewens"), (renewal_pair(F(1, 2)), "renewal"),
+                           (renewal_pair(F(1, 2), True), "renewal-reversed")):
+            assert markov_cpf(pair).name == name
+            control = DecrementMatrixPair(q=pair.q, qstar=pair.q, label="control")
+            assert markov_cpf(control).name == "markov[control]"
+
     def test_parameter_errors(self):
         with pytest.raises(ValueError, match="theta must be positive, got -1"):
             ewens_pair(-1)
