@@ -4,8 +4,8 @@ from .composition import (EMPTY, MAX_ENUM_N, Composition, Partition,
                           enumerate_compositions, enumerate_partitions,
                           uniform_reduction_kernel)
 from .laws import (Cpf, DecrementMatrix, DecrementMatrixPair, LevySpec,
-                   MeanderLaw, beta_meander, ewens_cpf, levy_binomial,
-                   levy_exponent, levy_exponent_exact, markov_cpf,
+                   MeanderLaw, beta_meander, ewens_cpf, fragment_cpf,
+                   levy_binomial, levy_exponent, levy_exponent_exact, markov_cpf,
                    meander_moments, partition_law, polya_q,
                    potential_from_levy, pure_drift_meander, renewal_cpf,
                    sibi_cpf, stationary_pair, two_param_levy, two_param_q,
@@ -14,7 +14,7 @@ from .stochastic import (RngStream, arrange_partition, batch_arrangements,
                          batch_ewens_strings, batch_markov_compositions,
                          batch_poisson_construction, batch_renewal_strings,
                          batch_uniform_construction, codes_to_counts,
-                         fragment_cpf, fragment_sample,
+                         fragment_sample,
                          poisson_sampling_composition, sample_bernoulli_string,
                          sample_gem, sample_markov_composition,
                          sample_partition_batch, sample_renewal_string,

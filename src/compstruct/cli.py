@@ -16,8 +16,8 @@ from pathlib import Path
 
 from . import tables
 from .composition import MAX_ENUM_N, Partition, enumerate_compositions
-from .laws import (Cpf, DecrementMatrix, DecrementMatrixPair, ewens_pair, markov_cpf,
-                   renewal_pair, two_param_stationary_pair)
+from .laws import (Cpf, DecrementMatrix, DecrementMatrixPair, ewens_pair, fragment_cpf,
+                   markov_cpf, renewal_pair, two_param_stationary_pair)
 from .ratmath import parse_scalar
 from .stochastic import (RngStream, batch_arrangements, batch_ewens_strings,
                          batch_markov_compositions, batch_poisson_construction,
@@ -284,11 +284,9 @@ def cmd_arrange(args):
 
 def cmd_fragment(args):
     _check_cap(args.n)
-    from .stochastic import fragment_cpf
-
-    outer = build_cpf(args.outer, _scalar(args.outer_alpha), _scalar(args.outer_theta))
+    outer = build_pair(args.outer, _scalar(args.outer_alpha), _scalar(args.outer_theta))
     inner = build_cpf(args.inner, _scalar(args.inner_alpha), _scalar(args.inner_theta))
-    frag = fragment_cpf(outer, inner, max_n=args.n)
+    frag = fragment_cpf(outer, inner)
     _emit(args, lambda: tables.cpf_table_lines(frag, args.n),
           lambda: tables.cpf_table_tree(frag, args.n))
     return EXIT_OK

@@ -34,6 +34,7 @@ __all__ = [
     "renewal_cpf",
     "renewal_pair",
     "markov_cpf",
+    "fragment_cpf",
     "polya_q",
     "two_param_q",
     "two_param_levy",
@@ -67,8 +68,6 @@ class Cpf:
 
     name: str
     evaluate: Callable[[Composition], object]
-    max_n: int = 10 ** 9
-    params: tuple = ()
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __call__(self, comp: Composition):
@@ -76,8 +75,6 @@ class Cpf:
             return self._memo[comp.parts]
         except KeyError:
             pass
-        if comp.n > self.max_n:
-            raise ValueError(f"{self.name}: n = {comp.n} beyond supported {self.max_n}")
         val = self._memo[comp.parts] = self.evaluate(comp)
         return val
 
@@ -101,7 +98,7 @@ class DecrementMatrix:
         self.name = name
         self._entry = entry
         self._cache = {}
-        self._cdf = {}
+        self._floats = {}
 
     def __call__(self, n: int, r: int):
         if not 1 <= r <= n:
@@ -117,23 +114,24 @@ class DecrementMatrix:
     def row_sum(self, n: int):
         return sum(self.row(n))
 
-    def cdf(self, n: int):
-        """Cumulative float row n, checked to be a law once and then cached.
+    def float_row(self, n: int):
+        """Float row n, checked to be a law once and then cached.
 
-        A row with a negative or NaN entry, or whose sum is off 1 by more
-        than 1e-9, raises ValueError on every use.  The array is read-only.
+        A row with a negative or NaN entry, or whose left-to-right sum is off
+        1 by more than 1e-9, raises ValueError on every use.  The array is
+        read-only.
         """
-        row = self._cdf.get(n)
+        row = self._floats.get(n)
         if row is None:
             import numpy as np
 
-            probs = np.array([float(v) for v in self.row(n)])
-            row = np.cumsum(probs)
-            if not (probs >= 0).all() or not abs(row[-1] - 1.0) <= 1e-9:
+            row = np.array([float(v) for v in self.row(n)])
+            total = np.cumsum(row)[-1]  # sequential, not numpy's pairwise sum
+            if not (row >= 0).all() or not abs(total - 1.0) <= 1e-9:
                 raise ValueError(f"{self.name} row {n} is not a probability vector: "
-                                 f"min = {probs.min()}, sum = {row[-1]}")
+                                 f"min = {row.min()}, sum = {total}")
             row.flags.writeable = False
-            self._cdf[n] = row
+            self._floats[n] = row
         return row
 
 
@@ -145,6 +143,10 @@ class DecrementMatrixPair:
     qstar: DecrementMatrix
     label: str = ""
     family: str = ""  # names the CPF (ewens, renewal, ...); else markov[label]
+
+    @property
+    def cpf_name(self) -> str:
+        return self.family or f"markov[{self.label or self.q.name}]"
 
 
 def _check_alpha_theta(alpha, theta):
@@ -199,7 +201,7 @@ def _div(num, den, *params):
     return num / den
 
 
-def markov_cpf(dm: DecrementMatrixPair, max_n: int = 10 ** 9) -> Cpf:
+def markov_cpf(dm: DecrementMatrixPair) -> Cpf:
     """Product-formula CPF: p(lam) = q*(n:lam_l) prod_{k<l} q(Lam_k:lam_k).
 
     Every composition extending a prefix mu shares its head product
@@ -209,11 +211,11 @@ def markov_cpf(dm: DecrementMatrixPair, max_n: int = 10 ** 9) -> Cpf:
     multiplications.  Exact values are those of the plain left fold; float
     values may differ from it in the last bits.
     """
-    return _product_cpf(dm, max_n=max_n)
+    return _product_cpf(dm)
 
 
-def _product_cpf(dm: DecrementMatrixPair, params: tuple = (), max_n: int = 10 ** 9) -> Cpf:
-    """``markov_cpf``, with the family's parameters as ``params``."""
+def _product_cpf(dm: DecrementMatrixPair) -> Cpf:
+    """``markov_cpf`` for the family CPFs, which call no public function."""
     heads = {(): 1}
 
     def head(mu):
@@ -231,8 +233,43 @@ def _product_cpf(dm: DecrementMatrixPair, params: tuple = (), max_n: int = 10 **
     def ev(comp):
         return dm.qstar(comp.n, comp.last_part) * head(comp.parts[:-1])
 
-    return Cpf(name=dm.family or f"markov[{dm.label or dm.q.name}]", evaluate=ev,
-               max_n=max_n, params=params)
+    return Cpf(name=dm.cpf_name, evaluate=ev)
+
+
+def fragment_cpf(outer: DecrementMatrixPair, inner: Cpf) -> Cpf:
+    """CPF of ``outer`` with each part split by an independent ``inner`` composition.
+
+    The product formula of ``outer`` factorises over the segment boundaries:
+    F(0) = 1, F(j) = sum_{i<j} F(i) q(Lam_j : Lam_j - Lam_i) inner(lam_{i+1..j})
+    and p''(lam) = sum_{i<l} F(i) q*(n : n - Lam_i) inner(lam_{i+1..l}).  F is
+    memoised per prefix, so a table of n costs about n 2^n terms, not 3^(n-1).
+
+    For 0 < alpha < 1 and alpha < theta, fragmenting ``ewens_pair(theta -
+    alpha)`` by the forward ``renewal_cpf(alpha)`` gives the stationary
+    (alpha, theta) law (Pitman's coagulation-fragmentation duality
+    PD(alpha, theta - alpha) = Frag_{PD(alpha, 0)} PD(0, theta - alpha)).
+    """
+    if not isinstance(outer, DecrementMatrixPair):
+        raise TypeError(f"outer must be a DecrementMatrixPair, got {type(outer).__name__}")
+    prefixes = {(): 1}  # F per prefix lam_1..lam_j
+
+    def boundary_sum(parts, matrix):
+        # sum over the last boundary i < len(parts), the segment parts[i:]
+        # drawn by matrix(n : n - Lam_i) from the top n = sum(parts)
+        n, lam_i, total = sum(parts), 0, 0
+        for i, part in enumerate(parts):
+            total = total + (prefix_value(parts[:i]) * matrix(n, n - lam_i)
+                             * inner(Composition(parts[i:])))
+            lam_i += part
+        return total
+
+    def prefix_value(mu):
+        if mu not in prefixes:
+            prefixes[mu] = boundary_sum(mu, outer.q)
+        return prefixes[mu]
+
+    return Cpf(name=f"fragment[{outer.cpf_name}|{inner.name}]",
+               evaluate=lambda comp: boundary_sum(comp.parts, outer.qstar))
 
 
 # ---------------------------------------------------------------------------
@@ -533,16 +570,16 @@ def renewal_pair(alpha, reversed_: bool = False) -> DecrementMatrixPair:
 
 def ewens_cpf(theta) -> Cpf:
     """Bernoulli-string CPF: p(lam) = theta^l n! / (theta)_n * prod 1/Lam_j."""
-    return _product_cpf(_ewens_pair(theta), params=(theta,))
+    return _product_cpf(_ewens_pair(theta))
 
 
 def renewal_cpf(alpha, reversed_: bool = False) -> Cpf:
     """Discrete-renewal CPF: p(lam) = lam_l alpha^(l-1) prod (1-alpha)_(lam_j-1)/lam_j!.
 
     With ``reversed_``, the law of the reversed composition.  The forward law
-    is the inner factor of the identity in ``stochastic.fragment_cpf``.
+    is the inner factor of the identity in ``fragment_cpf``.
     """
-    return _product_cpf(_renewal_pair(alpha, reversed_), params=(alpha,))
+    return _product_cpf(_renewal_pair(alpha, reversed_))
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +608,7 @@ def sibi_cpf(alpha, theta) -> Cpf:
             val = val * q_at(ell - k)(sums[k - 1], comp.parts[k - 1])
         return val
 
-    return Cpf(name="sibi", evaluate=ev, params=(alpha, theta))
+    return Cpf(name="sibi", evaluate=ev)
 
 
 def partition_law(alpha, theta, partition: Partition):

@@ -25,7 +25,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from .composition import Composition, Partition, enumerate_partitions
-from .laws import Cpf, DecrementMatrixPair, _check_alpha_theta, partition_law
+from .laws import DecrementMatrixPair, _check_alpha_theta, partition_law
 
 __all__ = [
     "RngStream",
@@ -39,7 +39,6 @@ __all__ = [
     "uniform_sampling_composition",
     "poisson_sampling_composition",
     "fragment_sample",
-    "fragment_cpf",
     "arrange_partition",
     "batch_ewens_strings",
     "batch_renewal_strings",
@@ -281,43 +280,6 @@ def fragment_sample(outer: Composition, inner_sampler: Callable[[int], Compositi
     return Composition(tuple(parts))
 
 
-def fragment_cpf(outer: Cpf, inner: Cpf, max_n: int = 16) -> Cpf:
-    """Exact CPF of the fragmentation product.
-
-    p''(lam) sums over all 2^(l-1) segmentations of lam into consecutive
-    segments: outer evaluated at the segment sums times the inner law of each
-    segment.
-
-    For 0 < alpha < 1 and theta > alpha, fragmenting ``ewens_cpf(theta -
-    alpha)`` by the forward ``renewal_cpf(alpha)`` gives exactly the stationary
-    (alpha, theta) law ``markov_cpf(two_param_stationary_pair(alpha, theta))``
-    (Pitman's coagulation-fragmentation duality PD(alpha, theta - alpha) =
-    Frag_{PD(alpha, 0)} PD(0, theta - alpha)).  theta > alpha keeps the outer
-    Ewens parameter positive.
-    """
-
-    def ev(comp):
-        parts = comp.parts
-        ell = len(parts)
-        total = 0
-        for mask in range(1 << (ell - 1)):
-            # bit k set = boundary after part k+1
-            segments = []
-            start = 0
-            for k in range(ell - 1):
-                if mask >> k & 1:
-                    segments.append(parts[start:k + 1])
-                    start = k + 1
-            segments.append(parts[start:])
-            val = outer(Composition(tuple(sum(s) for s in segments)))
-            for seg in segments:
-                val = val * inner(Composition(seg))
-            total = total + val
-        return total
-
-    return Cpf(name=f"fragment[{outer.name}|{inner.name}]", evaluate=ev, max_n=max_n)
-
-
 # ---------------------------------------------------------------------------
 # arrangement of partitions
 
@@ -408,16 +370,14 @@ def _markov_hazard(dm):
     # h = q*(m+1:1) q(m:r) / q*(m:r) by right consistency of the product
     # form, and 0 where q*(m:r) = 0: no draw reaches that state
     def table(n):
-        # every row a draw reads must be a law (DecrementMatrix.cdf checks
-        # it): q rows 1..n-1 and q* rows 1..n
+        # every row a draw reads must be a law (DecrementMatrix.float_row
+        # checks it): q rows 1..n-1 and q* rows 1..n
         q = np.zeros((n - 1, n - 1))
         qs = np.zeros((n, n))
         for m in range(1, n + 1):
             if m < n:
-                dm.q.cdf(m)
-                q[m - 1, :m] = [float(v) for v in dm.q.row(m)]
-            dm.qstar.cdf(m)
-            qs[m - 1, :m] = [float(v) for v in dm.qstar.row(m)]
+                q[m - 1, :m] = dm.q.float_row(m)
+            qs[m - 1, :m] = dm.qstar.float_row(m)
         # q*(m+1:1) q(m:r), q*(m+1:r+1) and q*(m:r) for m, r < n; every
         # entry with r > m is 0
         new, extend, here = qs[1:, :1] * q, qs[1:, 1:], qs[:-1, :-1]

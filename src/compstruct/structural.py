@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import truediv
-from typing import List, Optional, Sequence
+from typing import Sequence
 
 from .composition import Composition, enumerate_compositions
 from .laws import Cpf, DecrementMatrix, DecrementMatrixPair, MeanderLaw, markov_cpf
@@ -192,7 +192,7 @@ def reconstruct_markov(moments: StructuralMoments):
     pair = DecrementMatrixPair(q=DecrementMatrix("q[reconstructed]", q_entry),
                                qstar=DecrementMatrix("q*[reconstructed]", qstar_entry),
                                label="reconstructed")
-    return pair, markov_cpf(pair, max_n=N)
+    return pair, markov_cpf(pair)
 
 
 @dataclass(frozen=True)

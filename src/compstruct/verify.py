@@ -13,12 +13,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .composition import (Composition, EMPTY, enumerate_compositions,
-                          uniform_reduction_kernel)
+from .composition import Composition, enumerate_compositions
 from .laws import Cpf, DecrementMatrixPair
 from .ratmath import is_exact
-from .structural import (StructuralMoments, block_count_row, last_part_law,
-                         size_biased_part_law, structural_moments)
+from .structural import last_part_law, size_biased_part_law, structural_moments
 
 __all__ = [
     "CheckReport",

@@ -14,8 +14,9 @@ import pytest
 
 from compstruct.composition import (Composition, Partition,
                                     enumerate_compositions)
-from compstruct.laws import (DecrementMatrixPair, ewens_cpf, levy_binomial,
-                             levy_exponent, levy_exponent_exact, markov_cpf,
+from compstruct.laws import (DecrementMatrixPair, ewens_cpf, ewens_pair,
+                             fragment_cpf, levy_binomial, levy_exponent,
+                             levy_exponent_exact, markov_cpf,
                              polya_q, potential_from_levy, renewal_cpf,
                              two_param_levy, two_param_q,
                              two_param_stationary_pair)
@@ -23,7 +24,7 @@ from compstruct.ratmath import rising
 from compstruct.stochastic import (RngStream, batch_arrangements,
                                    batch_poisson_construction,
                                    batch_uniform_construction, codes_to_counts,
-                                   fragment_cpf, sample_partition_batch,
+                                   sample_partition_batch,
                                    sample_scale_invariant_partition)
 from compstruct.structural import (StructuralMoments, block_count_row,
                                    deletion_law, last_part_law,
@@ -183,16 +184,16 @@ def test_criterion_08_fragmentation_identity():
     t0 = time.time()
     mismatches = []
     for a, t in STATIONARY_PARAMS:
-        frag = fragment_cpf(ewens_cpf(t - a), renewal_cpf(a), max_n=6)
+        frag = fragment_cpf(ewens_pair(t - a), renewal_cpf(a))
         target = markov_cpf(two_param_stationary_pair(a, t))
         mismatches += [((a, t), c, frag(c), target(c))
-                       for n in range(1, 7) for c in enumerate_compositions(n)
+                       for n in range(1, 11) for c in enumerate_compositions(n)
                        if frag(c) != target(c)]
     elapsed = time.time() - t0
     ok = not mismatches and elapsed < 30.0
     pairs = ", ".join(f"({a},{t})" for a, t in STATIONARY_PARAMS)
     detail = (f"Ewens(theta-alpha) fragmented by renewal(alpha) vs stationary "
-              f"(alpha, theta) at {pairs}, n <= 6 ({elapsed:.2f}s)")
+              f"(alpha, theta) at {pairs}, n <= 10 ({elapsed:.2f}s)")
     if mismatches:
         (a, t), c, got, want = mismatches[0]
         detail += (f"; first mismatch at (alpha, theta) = ({a}, {t}), "

@@ -8,8 +8,9 @@ import pytest
 from compstruct.composition import (Composition, Partition,
                                     enumerate_compositions,
                                     enumerate_partitions)
-from compstruct.laws import (DecrementMatrix, DecrementMatrixPair,
-                             ewens_cpf, ewens_pair, markov_cpf, partition_law,
+from compstruct.laws import (Cpf, DecrementMatrix, DecrementMatrixPair,
+                             ewens_cpf, ewens_pair, fragment_cpf, markov_cpf,
+                             partition_law,
                              renewal_cpf, renewal_pair, sibi_cpf, two_param_levy,
                              potential_from_levy, two_param_q,
                              two_param_stationary_pair)
@@ -20,8 +21,7 @@ from compstruct.stochastic import (RngStream, ScaleInvariantSet,
                                    batch_poisson_construction,
                                    batch_renewal_strings,
                                    batch_uniform_construction,
-                                   codes_to_counts, fragment_cpf,
-                                   fragment_sample,
+                                   codes_to_counts, fragment_sample,
                                    poisson_sampling_composition,
                                    sample_bernoulli_string, sample_gem,
                                    sample_markov_composition,
@@ -31,7 +31,8 @@ from compstruct.stochastic import (RngStream, ScaleInvariantSet,
                                    uniform_sampling_composition)
 from compstruct.stochastic import (_bits_to_codes, _ewens_hazard, _markov_hazard,
                                    _renewal_hazard)
-from compstruct.structural import expected_num_parts, structural_moments
+from compstruct.structural import (expected_num_parts, reconstruct_markov,
+                                   structural_moments)
 from compstruct.verify import chi_square_gof, ks_against_cdf
 
 C = Composition
@@ -152,7 +153,9 @@ class TestStringSamplers:
     def test_markov_rows_are_checked_once_per_matrix(self):
         pair = two_param_stationary_pair(F(1, 2), 1)
         first = batch_markov_compositions(pair, 6, 500, RngStream(2))
-        assert pair.q.cdf(3) is pair.q.cdf(3) and not pair.q.cdf(3).flags.writeable
+        row = pair.q.float_row(3)
+        assert row is pair.q.float_row(3) and not row.flags.writeable
+        assert row.tolist() == [float(v) for v in pair.q.row(3)]
         for _ in range(3):
             sample_markov_composition(pair, 6, RngStream(3))
         # cached rows draw the same stream as a fresh matrix
@@ -334,35 +337,96 @@ class TestScaleInvariantConstructions:
         assert abs(bits.sum(axis=1).mean() - p.sum()) < 5 * k_se
 
 
+def _enumerated_fragment(outer: Cpf, inner: Cpf, comp):
+    """Oracle: the sum over all 2^(l-1) segmentations of comp into
+    consecutive segments, outer at the segment sums times inner of each."""
+    parts = comp.parts
+    ell = len(parts)
+    total = 0
+    for mask in range(1 << (ell - 1)):
+        # bit k set = boundary after part k+1
+        segments = []
+        start = 0
+        for k in range(ell - 1):
+            if mask >> k & 1:
+                segments.append(parts[start:k + 1])
+                start = k + 1
+        segments.append(parts[start:])
+        val = outer(C(tuple(sum(s) for s in segments)))
+        for seg in segments:
+            val = val * inner(C(seg))
+        total = total + val
+    return total
+
+
+def _outer_pairs():
+    stat = two_param_stationary_pair(F(1, 3), F(2, 3))
+    rebuilt, _ = reconstruct_markov(structural_moments(markov_cpf(stat), 9))
+    return {"ewens": ewens_pair(F(1, 2)), "stationary": stat,
+            "control": DecrementMatrixPair(q=stat.q, qstar=stat.q, label="control"),
+            "reconstructed": rebuilt}
+
+
 class TestFragmentation:
+    @pytest.mark.parametrize("outer", ["ewens", "stationary", "control", "reconstructed"])
+    def test_recursion_equals_segmentation_sum(self, outer):
+        outer = _outer_pairs()[outer]
+        inners = [renewal_cpf(F(1, 2)), renewal_cpf(F(1, 2), reversed_=True),
+                  sibi_cpf(F(1, 2), F(1, 2)),
+                  Cpf("one", lambda c: F(int(c.num_parts == 1))),
+                  Cpf("ones", lambda c: F(int(all(p == 1 for p in c.parts))))]
+        for inner in inners:
+            frag, oracle = fragment_cpf(outer, inner), markov_cpf(outer)
+            for n in range(1, 9):
+                for c in enumerate_compositions(n):
+                    got, want = frag(c), _enumerated_fragment(oracle, inner, c)
+                    assert type(got) is type(want) and got == want, (inner.name, c)
+
+    def test_float_recursion_matches_segmentation_sum(self):
+        pairs = [ewens_pair(0.5), two_param_stationary_pair(1 / 3, 2 / 3)]
+        pairs.append(DecrementMatrixPair(q=pairs[1].q, qstar=pairs[1].q))
+        for outer in pairs:
+            for inner in (renewal_cpf(0.5), renewal_cpf(0.5, reversed_=True),
+                          sibi_cpf(0.5, 0.5)):
+                frag, oracle = fragment_cpf(outer, inner), markov_cpf(outer)
+                for n in range(1, 9):
+                    for c in enumerate_compositions(n):
+                        want = _enumerated_fragment(oracle, inner, c)
+                        assert abs(frag(c) - want) <= 1e-12 * abs(want), (inner.name, c)
+
+    def test_outer_must_be_a_pair(self):
+        with pytest.raises(TypeError, match="DecrementMatrixPair"):
+            fragment_cpf(ewens_cpf(1), renewal_cpf(F(1, 2)))
+
+    def test_name_is_the_outer_cpf_name(self):
+        inner = renewal_cpf(F(1, 2))
+        assert fragment_cpf(ewens_pair(1), inner).name == "fragment[ewens|renewal]"
+        pair = two_param_stationary_pair(F(1, 2), 1)
+        assert (fragment_cpf(pair, inner).name
+                == f"fragment[{markov_cpf(pair).name}|renewal]")
+
     def test_cpf_normalizes(self):
-        frag = fragment_cpf(ewens_cpf(1), renewal_cpf(F(1, 2), reversed_=True),
-                            max_n=7)
+        frag = fragment_cpf(ewens_pair(1), renewal_cpf(F(1, 2), reversed_=True))
         for n in range(1, 8):
             assert sum(frag(c) for c in enumerate_compositions(n)) == 1
 
     def test_one_block_inner_is_identity(self):
         one = lambda c: F(int(c.num_parts == 1))
-        from compstruct.laws import Cpf
-
-        frag = fragment_cpf(ewens_cpf(1), Cpf("one", one), max_n=6)
+        frag = fragment_cpf(ewens_pair(1), Cpf("one", one))
         ew = ewens_cpf(1)
         for n in range(1, 7):
             for c in enumerate_compositions(n):
                 assert frag(c) == ew(c)
 
     def test_singleton_inner(self):
-        from compstruct.laws import Cpf
-
         singles = Cpf("ones", lambda c: F(int(all(p == 1 for p in c.parts))))
-        frag = fragment_cpf(ewens_cpf(1), singles, max_n=6)
+        frag = fragment_cpf(ewens_pair(1), singles)
         for n in range(1, 7):
             for c in enumerate_compositions(n):
                 assert frag(c) == F(int(all(p == 1 for p in c.parts)))
 
     def test_sampler_matches_cpf(self):
-        frag = fragment_cpf(ewens_cpf(1), renewal_cpf(F(1, 2), reversed_=True),
-                            max_n=5)
+        frag = fragment_cpf(ewens_pair(1), renewal_cpf(F(1, 2), reversed_=True))
         rn = renewal_cpf(F(1, 2))
         g = RngStream(31).generator()
 
@@ -382,16 +446,14 @@ class TestFragmentation:
         from compstruct.verify import (check_right_consistency,
                                        check_uniform_consistency)
 
-        frag = fragment_cpf(ewens_cpf(1), renewal_cpf(F(1, 2), reversed_=True),
-                            max_n=6)
+        frag = fragment_cpf(ewens_pair(1), renewal_cpf(F(1, 2), reversed_=True))
         assert check_uniform_consistency(frag, 5).passed
         assert not check_right_consistency(frag, 5).passed
 
     def test_does_not_reproduce_stationary_family(self):
         # the restricted-set product differs from the stationary law already
         # at n = 2: 1/2 * 1/2 != 1/3
-        frag = fragment_cpf(ewens_cpf(1), renewal_cpf(F(1, 2), reversed_=True),
-                            max_n=4)
+        frag = fragment_cpf(ewens_pair(1), renewal_cpf(F(1, 2), reversed_=True))
         mk = markov_cpf(two_param_stationary_pair(F(1, 2), 1))
         assert frag(C((2,))) == F(1, 4)
         assert mk(C((2,))) == F(1, 3)

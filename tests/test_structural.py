@@ -173,13 +173,18 @@ class TestReconstruction:
     def test_reconstructed_matrices_match(self):
         pair0 = two_param_stationary_pair(F(1, 2), 1)
         mom = structural_moments(markov_cpf(pair0), 9)
-        pair, _ = reconstruct_markov(mom)
+        pair, rebuilt = reconstruct_markov(mom)
         for n in range(1, 8):
             for r in range(1, n + 1):
                 assert pair.q(n, r) == pair0.q(n, r)
         for n in range(1, 9):
             for r in range(1, n + 1):
                 assert pair.qstar(n, r) == pair0.qstar(n, r)
+        # the CPF reaches as far as its rows: q* row 9 and q rows <= 8 give
+        # n = 9, and q* row 10 is missing
+        assert all(rebuilt(c) == markov_cpf(pair0)(c) for c in enumerate_compositions(9))
+        with pytest.raises(ValueError, match=r"q\* only covers n <= 9"):
+            rebuilt(C((9, 1)))
 
     def test_degenerate_one_block(self):
         # p(n) = 1 for all n: the pure-drift one-block composition
