@@ -5,7 +5,7 @@ from .composition import (EMPTY, MAX_ENUM_N, Composition, Partition,
                           uniform_reduction_kernel)
 from .laws import (Cpf, DecrementMatrix, DecrementMatrixPair, LevySpec,
                    MeanderLaw, beta_meander, ewens_cpf, fragment_cpf,
-                   levy_binomial, levy_exponent, levy_exponent_exact, markov_cpf,
+                   levy_binomial, levy_exponent, markov_cpf,
                    meander_moments, partition_law, polya_q,
                    potential_from_levy, pure_drift_meander, renewal_cpf,
                    sibi_cpf, stationary_pair, two_param_levy, two_param_q,

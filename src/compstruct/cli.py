@@ -284,8 +284,10 @@ def cmd_arrange(args):
 
 def cmd_fragment(args):
     _check_cap(args.n)
-    outer = build_pair(args.outer, _scalar(args.outer_alpha), _scalar(args.outer_theta))
-    inner = build_cpf(args.inner, _scalar(args.inner_alpha), _scalar(args.inner_theta))
+    outer = build_pair(args.outer, _scalar(args.outer_alpha), _scalar(args.outer_theta),
+                       args.matrix_file)
+    inner = build_cpf(args.inner, _scalar(args.inner_alpha), _scalar(args.inner_theta),
+                      args.matrix_file)
     frag = fragment_cpf(outer, inner)
     _emit(args, lambda: tables.cpf_table_lines(frag, args.n),
           lambda: tables.cpf_table_tree(frag, args.n))

@@ -5,10 +5,12 @@ decrement-matrix pair (q, q*): Bernoulli strings (Ewens), reversed and forward
 discrete renewal, and the two-parameter self-similar Markov family.  The
 decrement-matrix calculus connects the pairs to Levy data of regenerative sets.
 
-Every formula here is a rational function of the parameters, so with
-Fraction-valued parameters all identities can be checked bit-exactly.  Float
-parameters switch the same code paths to float mode; the mode follows the
-inputs, and no function takes a switch for it.
+Every closed form here is a ratio of rising factorials, evaluated by
+``ratmath.rising_ratio``: with Fraction-valued parameters all identities can
+be checked bit-exactly, and float parameters switch the same expressions to
+float mode, computed in log space.  The mode follows the inputs, and no
+function takes a switch for it.  The Levy exponent has one normalisation in
+both modes, m = 1.
 """
 
 from __future__ import annotations
@@ -17,11 +19,10 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import partial
 from typing import Callable, Optional
 
 from .composition import Composition, Partition, enumerate_compositions
-from .ratmath import binom, factorial, is_exact, rising
+from .ratmath import binom, factorial, is_exact, rising_ratio
 
 __all__ = [
     "Cpf",
@@ -41,7 +42,6 @@ __all__ = [
     "beta_meander",
     "pure_drift_meander",
     "levy_exponent",
-    "levy_exponent_exact",
     "levy_binomial",
     "meander_moments",
     "stationary_pair",
@@ -111,9 +111,6 @@ class DecrementMatrix:
     def row(self, n: int):
         return [self(n, r) for r in range(1, n + 1)]
 
-    def row_sum(self, n: int):
-        return sum(self.row(n))
-
     def float_row(self, n: int):
         """Float row n, checked to be a law once and then cached.
 
@@ -149,56 +146,54 @@ class DecrementMatrixPair:
         return self.family or f"markov[{self.label or self.q.name}]"
 
 
+def _check_params(ok: bool, need: str, *params):
+    """Range check of a family's parameters, which must also be finite."""
+    shown = params[0] if len(params) == 1 else params
+    if any(isinstance(p, float) and not math.isfinite(p) for p in params):
+        raise ValueError(f"parameters must be finite, got {shown}")
+    if not ok:
+        raise ValueError(f"{need}, got {shown}")
+
+
 def _check_alpha_theta(alpha, theta):
-    if not (0 <= alpha < 1 and theta > -alpha):
-        raise ValueError(f"need 0 <= alpha < 1 and theta > -alpha, got {(alpha, theta)}")
+    _check_params(0 <= alpha < 1 and theta > -alpha,
+                  "need 0 <= alpha < 1 and theta > -alpha", alpha, theta)
 
 
 def polya_q(alpha, theta) -> DecrementMatrix:
-    """Polya-Eggenberger decrement matrix q_{alpha,theta}."""
+    """Polya-Eggenberger decrement matrix q_{alpha,theta}.
+
+    q(n:r) = C(n-1,r-1) (theta+alpha)_{n-r} (1-alpha)_{r-1} / (theta+1)_{n-1};
+    float rows stay laws past the overflow of the rising factorials.
+    """
     _check_alpha_theta(alpha, theta)
 
     def entry(n, r):
-        num = binom(n - 1, r - 1) * rising(theta + alpha, n - r) * rising(1 - alpha, r - 1)
-        den = rising(theta + 1, n - 1)
-        return _div(num, den, alpha, theta)
+        return rising_ratio(((theta + alpha, n - r), (1 - alpha, r - 1)),
+                            ((theta + 1, n - 1),), binom(n - 1, r - 1))
 
     return DecrementMatrix(f"polya({alpha},{theta})", entry)
 
 
 def two_param_q(alpha, theta) -> DecrementMatrix:
     """Decrement matrix of the (alpha, theta) regenerative composition."""
-    if not (0 <= alpha < 1 and theta >= 0 and alpha + theta > 0):
-        raise ValueError(
-            f"need 0 <= alpha < 1, theta >= 0, alpha + theta > 0, got {(alpha, theta)}")
+    _check_params(0 <= alpha < 1 and theta >= 0 and alpha + theta > 0,
+                  "need 0 <= alpha < 1, theta >= 0, alpha + theta > 0", alpha, theta)
     return _two_param_q(alpha, theta)
 
 
 def _two_param_q(alpha, theta) -> DecrementMatrix:
+    # q(n:r) = C(n,r) (1-alpha)_{r-1} / (theta+n-r)_r * ((n-r) alpha + r theta) / n.
+    # Split off the first factor of (theta+n-r)_r: the rest is
+    # ((n-r) alpha + r theta) / (n (theta+n-r)), which is 1 at r = n, also in
+    # the theta -> 0 limit where it reads 0/0.
     def entry(n, r):
-        if r == n and theta == 0:
-            # theta -> 0 limit of the closed form (0/0 at face value)
-            val = rising(1 - alpha, n - 1) / math.factorial(n - 1)
-            return _div(val, 1, alpha, theta)
-        if is_exact(alpha, theta):
-            num = binom(n, r) * rising(1 - alpha, r - 1) * ((n - r) * alpha + r * theta)
-            den = rising(theta + n - r, r) * n
-            return Fraction(num, 1) / den
-        # log-space keeps large rows finite (plain float products overflow
-        # past r ~ 170)
-        a, t = float(alpha), float(theta)
-        log = (math.lgamma(n + 1) - math.lgamma(r + 1) - math.lgamma(n - r + 1)
-               + math.lgamma(r - a) - math.lgamma(1 - a)
-               + math.lgamma(t + n - r) - math.lgamma(t + n))
-        return math.exp(log) * ((n - r) * a + r * t) / n
+        val = rising_ratio(((1 - alpha, r - 1),), ((theta + n - r + 1, r - 1),), binom(n, r))
+        if r == n:
+            return val
+        return val * ((n - r) * alpha + r * theta) / (n * (theta + n - r))
 
     return DecrementMatrix(f"two-param({alpha},{theta})", entry)
-
-
-def _div(num, den, *params):
-    if is_exact(num, den, *params):
-        return Fraction(num, 1) / den
-    return num / den
 
 
 def markov_cpf(dm: DecrementMatrixPair) -> Cpf:
@@ -278,17 +273,25 @@ def fragment_cpf(outer: DecrementMatrixPair, inner: Cpf) -> Cpf:
 
 @dataclass(frozen=True)
 class LevySpec:
-    """Drift d and closed-form tail x -> nu~[x,1] of a Levy measure on (0,1].
+    """Drift d or closed-form tail x -> nu~[x,1] of a Levy measure on (0,1].
 
     ``alpha``/``theta`` mark the tail x^(-alpha) (1-x)^theta; without them
-    the spec is pure drift.  Rational data evaluate exactly, floats in float
-    mode.
+    the spec is pure drift.  A spec with both a drift and a tail is refused.
+    Rational data evaluate exactly (an int drift is stored as a Fraction),
+    floats in float mode.
     """
 
     drift: object = 0
     alpha: Optional[object] = None
     theta: Optional[object] = None
     label: str = ""
+
+    def __post_init__(self):
+        if self.is_two_param and self.drift != 0:
+            raise ValueError(f"a Levy spec has a drift or a tail, not both: "
+                             f"drift = {self.drift}, tail ({self.alpha}, {self.theta})")
+        if isinstance(self.drift, int):
+            object.__setattr__(self, "drift", Fraction(self.drift))
 
     @property
     def is_two_param(self) -> bool:
@@ -297,68 +300,44 @@ class LevySpec:
     @property
     def is_exact(self) -> bool:
         if self.is_two_param:
-            return is_exact(self.alpha, self.theta, self.drift)
+            return is_exact(self.alpha, self.theta)
         return is_exact(self.drift)
-
-    def log_moment(self) -> float:
-        """m = int |log(1-x)| nu~(dx) = B(1-alpha, theta), 0 for pure drift (float)."""
-        if not self.is_two_param:
-            return 0.0
-        from scipy.special import beta as beta_fn
-
-        return float(beta_fn(1.0 - float(self.alpha), float(self.theta)))
 
 
 def two_param_levy(alpha, theta) -> LevySpec:
     """Levy data with tail x^(-alpha) (1-x)^theta on (0,1]."""
-    if not (0 <= alpha < 1 and theta > 0):
-        raise ValueError(f"need 0 <= alpha < 1 and theta > 0, got {(alpha, theta)}")
-    return LevySpec(drift=0, alpha=alpha, theta=theta, label=f"two-param({alpha},{theta})")
+    _check_params(0 <= alpha < 1 and theta > 0, "need 0 <= alpha < 1 and theta > 0",
+                  alpha, theta)
+    return LevySpec(alpha=alpha, theta=theta, label=f"two-param({alpha},{theta})")
 
 
-def levy_exponent(spec: LevySpec, s) -> float:
-    """Levy exponent Phi(s) = d s + s B(1-alpha, s+theta) (float)."""
+def _exponent_slope(spec: LevySpec, s):
+    """Phi(s)/s: d for pure drift, (theta)_s / (1-alpha+theta)_s for the tail."""
+    if not spec.is_two_param:
+        return spec.drift
+    return rising_ratio(((spec.theta, s),), ((1 - spec.alpha + spec.theta, s),))
+
+
+def levy_exponent(spec: LevySpec, s):
+    """Levy exponent Phi(s) = d s + s (theta)_s / (1-alpha+theta)_s.
+
+    The tail is normalised to m = int |log(1-x)| nu~(dx) = 1 (its raw m is
+    B(1-alpha, theta)), in both modes; only ratios of Phi carry meaning for a
+    tail, and the decrement matrices and potentials are such ratios.  Exact
+    for rational data and an integer s; float data take any real s >= 0.
+    """
     if s < 0:
         raise ValueError("s must be >= 0")
-    if s == 0:
-        return 0.0
-    integral = 0.0
-    if spec.is_two_param:
-        from scipy.special import beta as beta_fn
-
-        integral = float(beta_fn(1.0 - float(spec.alpha), s + float(spec.theta)))
-    return float(spec.drift) * s + s * integral
-
-
-def levy_exponent_exact(spec: LevySpec, s: int) -> Fraction:
-    """Exact Phi(s) under the m = 1 normalisation (only ratios are meaningful).
-
-    For the closed-form tail, Phi(s)/m = s (theta)_s / (1-alpha+theta)_s.  For
-    a pure-drift spec the absolute value d*s is returned.
-    """
-    if not spec.is_exact:
-        raise ValueError("exact mode needs rational Levy data")
-    if not spec.is_two_param:
-        return Fraction(spec.drift) * s
-    if spec.drift:
-        raise ValueError("two-parameter spec with drift is not supported exactly")
-    a, t = Fraction(spec.alpha), Fraction(spec.theta)
-    return s * rising(t, s) / rising(1 - a + t, s)
-
-
-def _phi(spec: LevySpec) -> Callable:
-    """s -> Phi(s) in the spec's own mode: exact (m = 1) or float."""
-    return partial(levy_exponent_exact if spec.is_exact else levy_exponent, spec)
+    return s * _exponent_slope(spec, s)
 
 
 def levy_binomial(spec: LevySpec, n: int, m: int):
     """Phi(n:m) = C(n,m) sum_{j=0}^m (-1)^(j+1) C(m,j) Phi(n-m+j)."""
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= n, got (n={n}, m={m})")
-    phi = _phi(spec)
     total = 0
     for j in range(m + 1):
-        term = binom(m, j) * phi(n - m + j)
+        term = binom(m, j) * levy_exponent(spec, n - m + j)
         total = total + (term if (j + 1) % 2 == 0 else -term)
     return binom(n, m) * total
 
@@ -383,37 +362,33 @@ class MeanderLaw:
 
 
 def beta_meander(alpha, theta) -> MeanderLaw:
-    """A_1 ~ Beta(1-alpha, theta): the two-parameter stationary meander."""
-    if not (0 <= alpha < 1 and theta > 0):
-        raise ValueError(f"need 0 <= alpha < 1 and theta > 0, got {(alpha, theta)}")
+    """A_1 ~ Beta(1-alpha, theta): the two-parameter stationary meander.
+
+    E[A_1^a (1-A_1)^b] = (1-alpha)_a (theta)_b / (1-alpha+theta)_{a+b}.
+    """
+    _check_params(0 <= alpha < 1 and theta > 0, "need 0 <= alpha < 1 and theta > 0",
+                  alpha, theta)
 
     def moment(a, b):
-        if is_exact(alpha, theta):
-            return _div(rising(1 - alpha, a) * rising(theta, b),
-                        rising(1 - alpha + theta, a + b))
-        # log-space, as in two_param_q: the rising factorials overflow past
-        # a + b ~ 170
-        s, t = 1.0 - float(alpha), float(theta)
-        return math.exp(math.lgamma(s + a) - math.lgamma(s) + math.lgamma(t + b)
-                        - math.lgamma(t) - math.lgamma(s + t + a + b) + math.lgamma(s + t))
+        return rising_ratio(((1 - alpha, a), (theta, b)), ((1 - alpha + theta, a + b),))
+
+    a, t = float(alpha), float(theta)
+    inv_beta = math.exp(math.lgamma(1.0 - a + t) - math.lgamma(1.0 - a) - math.lgamma(t))
 
     def density(x):
-        from scipy.special import beta as beta_fn
-
-        a, t = float(alpha), float(theta)
-        return x ** (-a) * (1.0 - x) ** (t - 1.0) / beta_fn(1.0 - a, t)
+        return x ** (-a) * (1.0 - x) ** (t - 1.0) * inv_beta
 
     return MeanderLaw(moment=moment, atom=0, density=density,
                       label=f"beta({1 - alpha},{theta})")
 
 
-def pure_drift_meander(atom_mass=1) -> MeanderLaw:
+def pure_drift_meander() -> MeanderLaw:
     """Degenerate meander A_1 = 0 (heavy set driven by drift alone)."""
 
     def moment(a, b):
         return Fraction(1) if a == 0 else Fraction(0)
 
-    return MeanderLaw(moment=moment, atom=atom_mass, density=None, label="drift-atom")
+    return MeanderLaw(moment=moment, atom=1, density=None, label="drift-atom")
 
 
 def meander_moments(law: MeanderLaw, n: int, m: int):
@@ -432,8 +407,7 @@ def meander_moments(law: MeanderLaw, n: int, m: int):
 # Stationary pairs and potentials
 
 
-def stationary_pair(spec: LevySpec, law: MeanderLaw,
-                    N: Optional[int] = None) -> DecrementMatrixPair:
+def stationary_pair(spec: LevySpec, law: MeanderLaw) -> DecrementMatrixPair:
     """Decrement matrices q(n:m) = Phi(n:m)/Phi(n), q* = Psi(n:0) q + Psi(n:m).
 
     The meander law must be the stationary delay of ``spec``; this is checked
@@ -442,24 +416,17 @@ def stationary_pair(spec: LevySpec, law: MeanderLaw,
     n = 40), so this path is an exact oracle; the two-parameter family has
     the closed form ``two_param_stationary_pair``.
     """
-    exact = spec.is_exact and is_exact(law.moment(0, 1))
-    _check_stationary_consistency(spec, law, exact)
-    phi = _phi(spec)
+    _check_stationary_consistency(spec, law)
 
     def q_fn(n, m):
-        return levy_binomial(spec, n, m) / phi(n)
+        return levy_binomial(spec, n, m) / levy_exponent(spec, n)
 
     q = DecrementMatrix(f"q[{spec.label or 'levy'}]", q_fn)
-    return _meander_pair(q, law, spec.label, N, exact)
+    return _meander_pair(q, law, spec.label)
 
 
-def _meander_pair(q: DecrementMatrix, law: MeanderLaw, label: str,
-                  N: Optional[int], exact: bool) -> DecrementMatrixPair:
-    """Pair (q, q*) with q*(n:m) = Psi(n:0) q(n:m) + Psi(n:m).
-
-    With ``N``, every row n <= N of both matrices must sum to 1 (exactly, or
-    within 1e-9 in float mode).
-    """
+def _meander_pair(q: DecrementMatrix, law: MeanderLaw, label: str) -> DecrementMatrixPair:
+    """Pair (q, q*) with q*(n:m) = Psi(n:0) q(n:m) + Psi(n:m)."""
     psi0 = {}  # Psi(n:0), shared by the n entries of q* row n
 
     def qstar_fn(n, m):
@@ -468,26 +435,18 @@ def _meander_pair(q: DecrementMatrix, law: MeanderLaw, label: str,
         return psi0[n] * q(n, m) + meander_moments(law, n, m)
 
     qstar = DecrementMatrix(f"q*[{law.label or 'meander'}]", qstar_fn)
-    pair = DecrementMatrixPair(q=q, qstar=qstar, label=f"stationary[{label}]")
-    if N is not None:
-        for n in range(1, N + 1):
-            for m_ in (q, qstar):
-                s = m_.row_sum(n)
-                ok = s == 1 if exact else abs(s - 1.0) <= 1e-9
-                if not ok:
-                    raise ValueError(f"{m_.name} row {n} sums to {s}, not 1")
-    return pair
+    return DecrementMatrixPair(q=q, qstar=qstar, label=f"stationary[{label}]")
 
 
-def _check_stationary_consistency(spec: LevySpec, law: MeanderLaw, exact: bool):
+def _check_stationary_consistency(spec: LevySpec, law: MeanderLaw):
     """E(1-A_1) must equal g(2) = Phi(1)/(d+m), exactly or within 1e-9."""
     lhs, rhs = law.moment(0, 1), potential_from_levy(spec, 2)
-    if lhs != rhs if exact else abs(float(lhs) - float(rhs)) > 1e-9:
+    if lhs != rhs if is_exact(lhs, rhs) else abs(float(lhs) - float(rhs)) > 1e-9:
         raise ValueError(f"meander law inconsistent with Levy data: "
                          f"E(1-A_1) = {lhs} but Phi(1)/(d+m) = {rhs}")
 
 
-def two_param_stationary_pair(alpha, theta, N: Optional[int] = None) -> DecrementMatrixPair:
+def two_param_stationary_pair(alpha, theta) -> DecrementMatrixPair:
     """Stationary pair of the (alpha, theta) family, exact for rational params.
 
     q is the closed-form regenerative matrix ``two_param_q`` (Gnedin and
@@ -499,27 +458,22 @@ def two_param_stationary_pair(alpha, theta, N: Optional[int] = None) -> Decremen
     (past n = 1029 a float q* row raises ``ValueError``).
     """
     law = beta_meander(alpha, theta)  # first: its range error is two_param_levy's
-    return _meander_pair(two_param_q(alpha, theta), law, f"two-param({alpha},{theta})",
-                         N, is_exact(alpha, theta))
+    return _meander_pair(two_param_q(alpha, theta), law, f"two-param({alpha},{theta})")
 
 
 def potential_from_levy(spec: LevySpec, j: int):
-    """g(1) = 1; g(j) = Phi(j-1) / ((d+m)(j-1)) for j > 1.
+    """g(j) = Phi(j-1) / ((d+m)(j-1)), with g(1) = 1 its limit.
 
-    Exact for rational Levy data, with Phi under the m = 1 normalisation of
-    ``levy_exponent_exact``; float otherwise.
+    With Phi under the m = 1 normalisation of ``levy_exponent``, d + m is
+    the drift d of a pure-drift spec and 1 for a tail.  Exact for rational
+    Levy data, float otherwise.
     """
     if j < 1:
         raise ValueError("j must be >= 1")
-    if j == 1:
-        return Fraction(1) if spec.is_exact else 1.0
-    if spec.is_exact:
-        dm = 1 if spec.is_two_param else spec.drift
-    else:
-        dm = float(spec.drift) + spec.log_moment()
-    if dm == 0:
+    d_plus_m = spec.drift + (1 if spec.is_two_param else 0)
+    if d_plus_m == 0:
         raise ValueError("d + m = 0: potential undefined")
-    return _phi(spec)(j - 1) / (dm * (j - 1))
+    return _exponent_slope(spec, j - 1) / d_plus_m
 
 
 def upchain_transition(q: DecrementMatrix, g: Callable[[int], object],
@@ -541,15 +495,13 @@ def upchain_transition(q: DecrementMatrix, g: Callable[[int], object],
 
 
 def _ewens_pair(theta) -> DecrementMatrixPair:
-    if not theta > 0:
-        raise ValueError(f"theta must be positive, got {theta}")
+    _check_params(theta > 0, "theta must be positive", theta)
     q = _two_param_q(0, theta)
     return DecrementMatrixPair(q=q, qstar=q, label=f"ewens({theta})", family="ewens")
 
 
 def _renewal_pair(alpha, reversed_) -> DecrementMatrixPair:
-    if not 0 < alpha < 1:
-        raise ValueError(f"alpha must be in (0,1), got {alpha}")
+    _check_params(0 < alpha < 1, "alpha must be in (0,1)", alpha)
     if not reversed_:
         return replace(two_param_stationary_pair(alpha, alpha), family="renewal")
     q = _two_param_q(alpha, 0)
@@ -603,10 +555,8 @@ def sibi_cpf(alpha, theta) -> Cpf:
     def ev(comp):
         ell = comp.num_parts
         sums = comp.partial_sums()
-        val = Fraction(1) if is_exact(alpha, theta) else 1.0
-        for k in range(1, ell + 1):
-            val = val * q_at(ell - k)(sums[k - 1], comp.parts[k - 1])
-        return val
+        return math.prod(q_at(ell - k)(sums[k - 1], comp.parts[k - 1])
+                         for k in range(1, ell + 1))
 
     return Cpf(name="sibi", evaluate=ev)
 
@@ -622,26 +572,14 @@ def partition_law(alpha, theta, partition: Partition):
            * prod_i (1-alpha)_{lam_i - 1} / (theta + 1)_{n-1},
 
     with k parts and m_j parts of size j.  Exact for rational (alpha,
-    theta); float parameters are evaluated in log space.
+    theta); in float mode the rising factorials are evaluated in log space.
     """
     _check_alpha_theta(alpha, theta)
-    exact = is_exact(alpha, theta)
-    parts, n, k = partition.parts, partition.n, partition.num_parts
-    if not parts:
-        return Fraction(1) if exact else 1.0
-    mults = Counter(parts).values()
-    if exact:
-        den = math.prod(factorial(p) for p in parts) * math.prod(factorial(m) for m in mults)
-        val = Fraction(factorial(n) // den)
-        for i in range(1, k):
-            val *= theta + i * alpha
-        for p in parts:
-            val *= rising(1 - alpha, p - 1)
-        return val / rising(theta + 1, n - 1)
-    a, t = float(alpha), float(theta)
-    log = (math.lgamma(n + 1) - sum(math.lgamma(p + 1) for p in parts)
-           - sum(math.lgamma(m + 1) for m in mults)
-           + sum(math.log(t + i * a) for i in range(1, k))
-           + sum(math.lgamma(p - a) - math.lgamma(1 - a) for p in parts)
-           - math.lgamma(t + n) + math.lgamma(t + 1))
-    return math.exp(log)
+    parts, n = partition.parts, partition.n
+    den = math.prod(factorial(p) for p in parts)
+    den *= math.prod(factorial(m) for m in Counter(parts).values())
+    # theta + i alpha > 0 for i >= 1, as (theta + i alpha)_1
+    num = tuple((theta + i * alpha, 1) for i in range(1, len(parts)))
+    num += tuple((1 - alpha, p - 1) for p in parts)
+    # (theta + 1)_{n-1}; the empty partition (n = 0) has probability 1
+    return rising_ratio(num, ((theta + 1, max(n - 1, 0)),), factorial(n) // den)

@@ -108,6 +108,8 @@ def sample_gem(alpha, theta, k: int, rng) -> list:
     residual-allocation indexing.
     """
     _check_alpha_theta(alpha, theta)
+    if not k >= 0:
+        raise ValueError(f"k must be >= 0, got {k}")
     g = _as_rng(rng)
     a, t = float(alpha), float(theta)
     out = []
@@ -462,6 +464,7 @@ def _arrange_codes(parts, n, alpha, theta, g):
 
 def codes_to_counts(codes: np.ndarray, n: int) -> np.ndarray:
     """Counts per composition in code order (length 2^(n-1))."""
+    _check_size(n, 0)
     base = 1 << (n - 1)
     return np.bincount(codes - base, minlength=base)
 

@@ -13,7 +13,7 @@ import compstruct
 from compstruct import tables
 from compstruct.cli import main
 from compstruct.composition import enumerate_compositions
-from compstruct.laws import (DecrementMatrixPair, markov_cpf, two_param_q,
+from compstruct.laws import (DecrementMatrixPair, ewens_pair, markov_cpf, two_param_q,
                              two_param_stationary_pair)
 
 
@@ -31,6 +31,16 @@ def write_pair(path, pair, N, skip=()):
              if (kind, n, r) not in skip]
     path.write_text("\n".join(lines) + "\n")
     return str(path)
+
+
+def run_without_scipy(code):
+    """Run code in a fresh interpreter and check that it loaded no scipy module."""
+    code += "import sys\nassert not any(m.split('.')[0] == 'scipy' for m in sys.modules)\n"
+    src = os.path.dirname(os.path.dirname(compstruct.__file__))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60,
+                   stdout=subprocess.DEVNULL)
 
 
 def text_rows(out):
@@ -154,16 +164,18 @@ class TestCpfCommand:
 
     def test_float_two_param_loads_no_scipy(self):
         # the closed-form pair needs no Levy exponent, so no scipy.special
-        code = ("import sys\n"
-                "from compstruct.cli import main\n"
-                "assert main(['cpf', '--family', 'two-param', '--alpha', '0.5',\n"
-                "             '--theta', '1.0', '--n', '6']) == 0\n"
-                "assert not any(m.split('.')[0] == 'scipy' for m in sys.modules)\n")
-        src = os.path.dirname(os.path.dirname(compstruct.__file__))
-        env = dict(os.environ,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60,
-                       stdout=subprocess.DEVNULL)
+        run_without_scipy("from compstruct.cli import main\n"
+                          "assert main(['cpf', '--family', 'two-param', '--alpha', '0.5',\n"
+                          "             '--theta', '1.0', '--n', '6']) == 0\n")
+
+    def test_float_levy_path_loads_no_scipy(self):
+        # the Levy exponent, the potential and the Beta density use lgamma
+        run_without_scipy("from compstruct.laws import (beta_meander, levy_exponent,\n"
+                          "                             potential_from_levy, two_param_levy)\n"
+                          "spec = two_param_levy(0.5, 1.0)\n"
+                          "assert levy_exponent(spec, 3) > 0\n"
+                          "assert potential_from_levy(spec, 4) > 0\n"
+                          "assert beta_meander(0.5, 1.0).density(0.3) > 0\n")
 
     @pytest.mark.parametrize("fmt, unused", [("text", "cpf_table_tree"),
                                              ("json", "cpf_table_lines")])
@@ -474,3 +486,13 @@ class TestFragmentCommand:
                            "--inner-alpha", "1/2", "--n", "4")
         assert code == 0
         assert "# total\t1/1" in out
+
+    def test_markov_table_outer_reads_matrix_file(self, capsys, tmp_path):
+        # the Ewens(1) rows as a file give the same table as --outer ewens
+        mf = write_pair(tmp_path / "ewens.txt", ewens_pair(1), 4)
+        inner = ("--inner", "ewens", "--inner-theta", "1", "--n", "4")
+        code, out, _ = run(capsys, "fragment", "--outer", "markov-table",
+                           "--matrix-file", mf, *inner)
+        assert code == 0
+        _, ref, _ = run(capsys, "fragment", "--outer", "ewens", "--outer-theta", "1", *inner)
+        assert text_rows(out) == text_rows(ref)

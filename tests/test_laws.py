@@ -1,5 +1,6 @@
 """Exact law families: Ewens, renewal, Markov product, Levy calculus."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -9,12 +10,13 @@ from hypothesis import example, given, settings, strategies as st
 from compstruct.composition import Composition, Partition, enumerate_compositions
 from compstruct.laws import (Cpf, DecrementMatrixPair, LevySpec, beta_meander,
                              ewens_cpf, ewens_pair, levy_binomial, levy_exponent,
-                             levy_exponent_exact, markov_cpf, meander_moments,
+                             markov_cpf, meander_moments,
                              partition_law, polya_q, potential_from_levy,
                              pure_drift_meander, renewal_cpf, renewal_pair, sibi_cpf,
                              stationary_pair, two_param_levy, two_param_q,
                              two_param_stationary_pair, upchain_transition)
-from compstruct.ratmath import binom, factorial, rising
+from compstruct.ratmath import binom, factorial, rising, rising_ratio
+from compstruct.stochastic import RngStream, codes_to_counts, sample_gem
 from compstruct.structural import reconstruct_markov, structural_moments
 from compstruct.verify import check_right_consistency
 
@@ -240,46 +242,46 @@ class TestLevyCalculus:
         # normalized so that the mean of the stationary delay is 1:
         # Phi(s) = s (theta)_s / (1-alpha+theta)_s
         spec = two_param_levy(F(1, 2), 1)
-        assert levy_exponent_exact(spec, 1) == F(2, 3)
-        assert levy_exponent_exact(spec, 2) == F(16, 15)
+        assert levy_exponent(spec, 1) == F(2, 3)
+        assert levy_exponent(spec, 2) == F(16, 15)
         # ratio Phi(2)/Phi(1) is normalization-free
-        assert levy_exponent_exact(spec, 2) / levy_exponent_exact(spec, 1) == F(8, 5)
+        assert levy_exponent(spec, 2) / levy_exponent(spec, 1) == F(8, 5)
 
     def test_exponent_quadrature_agrees(self):
-        # the float path carries the raw exponent; dividing by the log-moment
-        # m aligns it with the mean-one normalization of the exact path
+        # oracle: the raw exponent s B(1-alpha, s+theta) over the raw
+        # log-moment m = B(1-alpha, theta), both modes under m = 1
+        from scipy.special import beta
         for a, t in [(F(1, 2), 1), (F(1, 3), F(2, 3))]:
-            spec = two_param_levy(a, t)
-            m = spec.log_moment()
+            spec, fspec = two_param_levy(a, t), two_param_levy(float(a), float(t))
             for s in range(1, 8):
-                exact = float(levy_exponent_exact(spec, s))
-                quad = levy_exponent(spec, s) / m
-                assert quad == pytest.approx(exact, abs=1e-9)
+                oracle = s * beta(1 - float(a), s + float(t)) / beta(1 - float(a), float(t))
+                assert float(levy_exponent(spec, s)) == pytest.approx(oracle, abs=1e-9)
+                assert levy_exponent(fspec, s) == pytest.approx(oracle, abs=1e-9)
 
     def test_decrement_entries_float_vs_exact(self):
         # q(n:m) is a ratio, so both arithmetic modes must agree directly
         for a, t in [(F(1, 2), 1), (F(1, 3), F(2, 3))]:
-            spec = two_param_levy(a, t)
+            spec, fspec = two_param_levy(a, t), two_param_levy(float(a), float(t))
             for n in range(1, 11):
-                phi_n = levy_exponent(spec, n)
+                phi_n = levy_exponent(fspec, n)
                 for r in range(1, n + 1):
-                    fl = levy_binomial(two_param_levy(float(a), float(t)), n, r) / phi_n
+                    fl = levy_binomial(fspec, n, r) / phi_n
                     ex = float(levy_binomial(spec, n, r)
-                               / levy_exponent_exact(spec, n))
+                               / levy_exponent(spec, n))
                     assert fl == pytest.approx(ex, abs=1e-9)
 
     def test_ewens_exponent(self):
         # alpha = 0: Phi(n) = n theta / (n + theta), so q(n:.) telescopes
         spec = two_param_levy(0, 2)
         for n in range(1, 8):
-            assert levy_exponent_exact(spec, n) == F(2 * n, n + 2)
+            assert levy_exponent(spec, n) == F(2 * n, n + 2)
 
     def test_binomial_rows_sum(self):
         spec = two_param_levy(F(1, 2), 1)
         for n in range(1, 9):
             total = sum(levy_binomial(spec, n, m)
                         for m in range(1, n + 1))
-            assert total == levy_exponent_exact(spec, n)
+            assert total == levy_exponent(spec, n)
 
     def test_qPhi_equals_qnu1(self):
         # decrement entries from the Levy exponent match the closed form
@@ -287,7 +289,7 @@ class TestLevyCalculus:
             spec = two_param_levy(a, t)
             closed = two_param_q(a, t)
             for n in range(1, 11):
-                phi_n = levy_exponent_exact(spec, n)
+                phi_n = levy_exponent(spec, n)
                 for r in range(1, n + 1):
                     assert levy_binomial(spec, n, r) / phi_n \
                         == closed(n, r)
@@ -295,7 +297,7 @@ class TestLevyCalculus:
     def test_pure_drift(self):
         spec = LevySpec(drift=1, alpha=None, theta=None,
                         label="drift")
-        assert levy_exponent_exact(spec, 5) == 5
+        assert levy_exponent(spec, 5) == 5
         assert levy_binomial(spec, 5, 1) == 5
         assert levy_binomial(spec, 5, 2) == 0
 
@@ -338,8 +340,11 @@ class TestStationaryPair:
     @pytest.mark.parametrize("a, t", [(0.5, 1.0), (1 / 3, 2 / 3)])
     def test_float_rows_sum_to_one(self, a, t):
         # the closed form does not cancel: every float row up to n = 100 is
-        # a law (the N check raises past 1e-9)
-        pair = two_param_stationary_pair(a, t, N=100)
+        # a law (float_row raises past 1e-9)
+        pair = two_param_stationary_pair(a, t)
+        for n in range(1, 101):
+            pair.q.float_row(n)
+            pair.qstar.float_row(n)
         for n in (32, 40, 100):
             assert min(pair.q.row(n)) >= 0 and min(pair.qstar.row(n)) >= 0
 
@@ -447,13 +452,15 @@ class TestSibi:
 
     def test_partition_law_float_mode(self):
         from compstruct.composition import enumerate_partitions
-        lams = enumerate_partitions(9)
+        lams = [lam for n in range(1, 13) for lam in enumerate_partitions(n)]
         for a, t in [(0.5, 0.5), (0.25, -0.125), (0.0, 2.0)]:
             vals = [partition_law(a, t, lam) for lam in lams]
             exact = [partition_law(F(a), F(t), lam) for lam in lams]
             assert vals == pytest.approx([float(x) for x in exact], rel=1e-12)
         # log space keeps large n finite
-        assert partition_law(0.5, 1.0, Partition((200, 100))) > 0
+        big = Partition((200, 100))
+        assert partition_law(0.5, 1.0, big) == pytest.approx(
+            float(partition_law(F(1, 2), 1, big)), rel=1e-9)
 
     @pytest.mark.parametrize("a, t", [(1, 1), (F(-1, 4), 1), (F(1, 2), F(-1, 2)),
                                       (0, 0), (1.5, 1.0)])
@@ -608,3 +615,61 @@ def test_rising_equals_naive_product_property(x, k):
     got = rising(x, k)
     assert type(got) is type(x)
     assert got == _naive_rising(x, k)
+
+
+INF, NAN = float("inf"), float("nan")
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: ewens_pair(INF), id="ewens_pair-inf"),
+    pytest.param(lambda: ewens_pair(NAN), id="ewens_pair-nan"),
+    pytest.param(lambda: renewal_pair(NAN), id="renewal_pair-nan"),
+    pytest.param(lambda: two_param_q(0.5, INF), id="two_param_q-inf"),
+    pytest.param(lambda: polya_q(0.5, INF), id="polya_q-inf"),
+    pytest.param(lambda: polya_q(NAN, 1.0), id="polya_q-nan"),
+    pytest.param(lambda: two_param_stationary_pair(0.5, INF), id="stationary_pair-inf"),
+    pytest.param(lambda: two_param_levy(0.5, INF), id="two_param_levy-inf"),
+    pytest.param(lambda: LevySpec(drift=1, alpha=F(1, 2), theta=1), id="levy-drift-and-tail"),
+    pytest.param(lambda: sample_gem(0.5, 1.0, -1, RngStream(1)), id="sample_gem-k<0"),
+    pytest.param(lambda: codes_to_counts([1], 0), id="codes_to_counts-n=0"),
+    pytest.param(lambda: codes_to_counts([1], 64), id="codes_to_counts-n=64"),
+])
+def test_entry_points_reject_bad_parameters(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+@pytest.mark.parametrize("n", [171, 400])
+def test_float_polya_and_sibi_past_float_range_of_rising(n):
+    # (2)_{n-1} = n! overflows a float at n = 171; the log-space rows are
+    # laws (float_row raises otherwise), for every shift sibi_cpf reads
+    for shift in (0, 1, 5):
+        assert polya_q(0.5, 1.0 + shift * 0.5).float_row(n).min() > 0
+    exact, fl = sibi_cpf(F(1, 2), 1), sibi_cpf(0.5, 1.0)
+    for parts in ((n,), (1, n - 1), (n - 1, 1), (n // 2, n - n // 2)):
+        assert fl(C(parts)) == pytest.approx(float(exact(C(parts))), rel=1e-9)
+
+
+_positive = st.fractions(min_value=F(1, 20), max_value=20, max_denominator=20)
+_pairs = st.lists(st.tuples(_positive, st.integers(0, 30)), max_size=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_pairs.filter(bool), _pairs, st.integers(1, 2 ** 60))
+@example([(F(1, 2), 3)], [(F(2), 3)], 1)
+@example([(F(1, 2), 0)], [], 7)
+def test_rising_ratio_modes_agree_property(num, den, coef):
+    exact = rising_ratio(tuple(num), tuple(den), coef)
+    fl = rising_ratio(tuple((float(x), k) for x, k in num),
+                      tuple((float(y), l) for y, l in den), coef)
+    assert type(exact) is F and type(fl) is float
+    want = coef * math.prod(rising(x, k) for x, k in num) / math.prod(
+        rising(y, l) for y, l in den)
+    assert exact == want
+    assert fl == pytest.approx(float(exact), rel=1e-11)
+
+
+def test_rising_ratio_refuses_nonpositive_float_arguments():
+    with pytest.raises(ValueError):
+        rising_ratio(((-0.5, 2),), ())
+    assert rising_ratio(((-0.5, 0),), ((1.0, 1),)) == 1.0
