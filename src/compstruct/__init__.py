@@ -14,11 +14,10 @@ from .stochastic import (RngStream, arrange_partition, batch_arrangements,
                          batch_ewens_strings, batch_markov_compositions,
                          batch_poisson_construction, batch_renewal_strings,
                          batch_uniform_construction, codes_to_counts,
-                         fragment_sample,
-                         poisson_sampling_composition, sample_bernoulli_string,
-                         sample_gem, sample_markov_composition,
-                         sample_partition_batch, sample_renewal_string,
-                         sample_scale_invariant_partition, ScaleInvariantSet,
+                         fragment_sample, poisson_sampling_composition,
+                         sample_bernoulli_string, sample_gem,
+                         sample_markov_composition, sample_partition_batch,
+                         sample_renewal_string, ScaleInvariantSet,
                          uniform_sampling_composition)
 from .structural import (ReconstructionError, StructuralMoments,
                          block_count_row, deletion_law, expected_num_parts,

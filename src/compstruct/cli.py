@@ -298,10 +298,14 @@ def cmd_fragment(args):
 # parser
 
 
-def _add_common(p, sampling=False):
-    p.add_argument("--alpha", help="exact fraction 'p/q' or decimal")
-    p.add_argument("--theta", help="exact fraction 'p/q' or decimal")
-    p.add_argument("--matrix-file", help="decrement-matrix file for markov-table")
+_FAMILY_FLAGS = {"--alpha": "exact fraction 'p/q' or decimal",
+                 "--theta": "exact fraction 'p/q' or decimal",
+                 "--matrix-file": "decrement-matrix file for markov-table"}
+
+
+def _add_common(p, family_flags=tuple(_FAMILY_FLAGS), sampling=False):
+    for flag in family_flags:
+        p.add_argument(flag, help=_FAMILY_FLAGS[flag])
     p.add_argument("--output", help="output path (COMPSTRUCT_OUTDIR resolves bare names)")
     p.add_argument("--format", choices=("text", "json"), default="text")
     if sampling:
@@ -347,7 +351,7 @@ def make_parser():
 
     p = sub.add_parser("arrange", help="arrange a partition into compositions")
     p.add_argument("--partition", required=True, help="comma-separated parts")
-    _add_common(p, sampling=True)
+    _add_common(p, family_flags=("--alpha", "--theta"), sampling=True)
     p.set_defaults(fn=cmd_arrange)
 
     p = sub.add_parser("fragment", help="exact fragmentation-product CPF table")
@@ -358,7 +362,7 @@ def make_parser():
     p.add_argument("--inner-alpha")
     p.add_argument("--inner-theta")
     p.add_argument("--n", type=int, required=True)
-    _add_common(p)
+    _add_common(p, family_flags=("--matrix-file",))
     p.set_defaults(fn=cmd_fragment)
 
     return ap

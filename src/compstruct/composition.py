@@ -9,7 +9,6 @@ are immutable and all operations are pure.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -164,11 +163,9 @@ class Partition:
         return Partition(tuple(parts))
 
     def distinct_arrangements(self) -> Iterator[Composition]:
-        seen = set()
-        for perm in itertools.permutations(self.parts):
-            if perm not in seen:
-                seen.add(perm)
-                yield Composition(perm)
+        """Each distinct ordering of the parts once, lexicographically largest
+        first."""
+        return map(Composition, _orderings(self.parts))
 
     @classmethod
     def from_string(cls, text: str) -> "Partition":
@@ -179,7 +176,17 @@ class Partition:
         return ",".join(str(p) for p in self.parts)
 
 
-def enumerate_compositions(n: int, cap: int = MAX_ENUM_N) -> tuple:
+def _orderings(parts: tuple) -> Iterator[tuple]:
+    # the first part runs over the distinct values, largest first
+    if not parts:
+        yield ()
+    for i, p in enumerate(parts):
+        if p not in parts[:i]:
+            for rest in _orderings(parts[:i] + parts[i + 1:]):
+                yield (p,) + rest
+
+
+def enumerate_compositions(n: int) -> tuple:
     """All 2^(n-1) compositions of n, in lexicographic order of binary codes.
 
     The tuple is built once per n and then shared: compositions are
@@ -187,8 +194,8 @@ def enumerate_compositions(n: int, cap: int = MAX_ENUM_N) -> tuple:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if n > cap:
-        raise ValueError(f"n = {n} exceeds enumeration cap {cap}")
+    if n > MAX_ENUM_N:
+        raise ValueError(f"n = {n} exceeds enumeration cap {MAX_ENUM_N}")
     return _compositions(n)
 
 

@@ -16,6 +16,7 @@ both modes, m = 1.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -297,12 +298,6 @@ class LevySpec:
     def is_two_param(self) -> bool:
         return self.alpha is not None
 
-    @property
-    def is_exact(self) -> bool:
-        if self.is_two_param:
-            return is_exact(self.alpha, self.theta)
-        return is_exact(self.drift)
-
 
 def two_param_levy(alpha, theta) -> LevySpec:
     """Levy data with tail x^(-alpha) (1-x)^theta on (0,1]."""
@@ -324,10 +319,14 @@ def levy_exponent(spec: LevySpec, s):
     The tail is normalised to m = int |log(1-x)| nu~(dx) = 1 (its raw m is
     B(1-alpha, theta)), in both modes; only ratios of Phi carry meaning for a
     tail, and the decrement matrices and potentials are such ratios.  Exact
-    for rational data and an integer s; float data take any real s >= 0.
+    for rational data and an integer s (a rational tail with another s is a
+    ValueError); float data take any real s >= 0.
     """
     if s < 0:
         raise ValueError("s must be >= 0")
+    exact_tail = spec.is_two_param and is_exact(spec.alpha, spec.theta)
+    if exact_tail and not isinstance(s, numbers.Integral):
+        raise ValueError(f"an exact Levy exponent needs an integer s, got s = {s}")
     return s * _exponent_slope(spec, s)
 
 

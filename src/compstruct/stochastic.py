@@ -10,17 +10,19 @@ integer binary codes (MSB = first digit).  The right-consistent string laws
 composition ball by ball; each law supplies only its hazard table, the
 probability that the next ball opens a new part.  The ``batch_*`` functions
 run a kernel on a seeded :class:`RngStream`; the per-draw string, Markov and
-arrangement samplers are single-draw calls of the same kernels.  The lazy
-interval-partition and atom-set objects are independent reference
-constructions, convenient for inspection.
+arrangement samplers are single-draw calls of the same kernels.  One lazy
+:class:`ScaleInvariantSet` is the per-draw reference for both set
+constructions: ``uniform_sampling_composition(sset, n, rng)`` reads its gaps,
+``poisson_sampling_composition(sset, n, rng)`` its atoms.
 """
 
 from __future__ import annotations
 
 import bisect
+import collections
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List
 
 import numpy as np
 
@@ -34,8 +36,6 @@ __all__ = [
     "sample_markov_composition",
     "sample_gem",
     "ScaleInvariantSet",
-    "IntervalPartitionSample",
-    "sample_scale_invariant_partition",
     "uniform_sampling_composition",
     "poisson_sampling_composition",
     "fragment_sample",
@@ -122,11 +122,11 @@ def sample_gem(alpha, theta, k: int, rng) -> list:
 
 
 # ---------------------------------------------------------------------------
-# scale-invariant Poisson sets and interval partitions
+# the scale-invariant Poisson set and its two sampling constructions
 
 
 class ScaleInvariantSet:
-    """Lazy atom set of the scale-invariant Poisson process PPP(theta dx/x).
+    """Lazy atom set S of the scale-invariant Poisson process PPP(theta dx/x).
 
     In log coordinates the atoms form a homogeneous rate-theta Poisson
     process on the line; downward atoms exp(-Gamma_k) < 1 and upward atoms
@@ -141,119 +141,41 @@ class ScaleInvariantSet:
         self._down: List[float] = []   # increasing partial sums Gamma_k
         self._up: List[float] = []     # increasing partial sums Gamma'_k
 
-    def _extend_down(self, limit: float):
-        while not self._down or self._down[-1] < limit:
-            last = self._down[-1] if self._down else 0.0
-            self._down.append(last + self._rng.exponential(1.0 / self.theta))
-
-    def _extend_up(self, limit: float):
-        while not self._up or self._up[-1] < limit:
-            last = self._up[-1] if self._up else 0.0
-            self._up.append(last + self._rng.exponential(1.0 / self.theta))
+    def _extend(self, sums: List[float], limit: float):
+        # draw atoms until one lies beyond limit
+        while not sums or sums[-1] <= limit:
+            sums.append((sums[-1] if sums else 0.0) + self._rng.exponential(1.0 / self.theta))
 
     def has_atom_in(self, a: float, b: float) -> bool:
         """Whether the atom set meets the compact interval [a, b], 0 < a <= b."""
         if not 0 < a <= b:
             raise ValueError(f"need 0 < a <= b, got [{a}, {b}]")
         lo, hi = math.log(a), math.log(b)
-        if lo < 0:
-            self._extend_down(-lo)
-            i = bisect.bisect_left(self._down, -min(hi, 0.0))
-            if i < len(self._down) and self._down[i] <= -lo:
-                return True
-        if hi > 0:
-            self._extend_up(hi)
-            i = bisect.bisect_left(self._up, max(lo, 0.0))
-            if i < len(self._up) and self._up[i] <= hi:
-                return True
+        # some Gamma_k in [max(-hi, 0), -lo] or some Gamma'_k in [max(lo, 0), hi]
+        for sums, start, end in ((self._down, max(-hi, 0.0), -lo),
+                                 (self._up, max(lo, 0.0), hi)):
+            if end > 0:
+                self._extend(sums, end)
+                if sums[bisect.bisect_left(sums, start)] <= end:
+                    return True
         return False
 
-
-@dataclass
-class IntervalPartitionSample:
-    """Disjoint open subintervals of [0,1], left to right, plus residual mass.
-
-    ``extend`` (optional) grows the partition toward 0 and returns the new
-    residual; without it a uniform landing in the residual is an error.
-    The rightmost interval is the meander.
-    """
-
-    intervals: List[tuple]
-    residual: float
-    extend: Optional[Callable[[], float]] = None
-
-    def __post_init__(self):
-        for (a, b), (c, d) in zip(self.intervals, self.intervals[1:]):
-            if not (a < b <= c < d):
-                raise ValueError("intervals must be disjoint and ordered")
-
-    @property
-    def meander_length(self) -> float:
-        return self.intervals[-1][1] - self.intervals[-1][0]
-
-    def locate(self, u: float) -> int:
-        """Index of the interval containing u, extending on demand."""
-        while u < self.intervals[0][0]:
-            if self.extend is None:
-                raise ValueError(
-                    f"uniform {u} fell in the unresolved residual {self.residual}")
-            self.residual = self.extend()
-        lefts = [a for a, _ in self.intervals]
-        i = bisect.bisect_right(lefts, u) - 1
-        return i
+    def gap(self, u: float) -> tuple:
+        """The gap (exp(-Gamma_{k+1}), exp(-Gamma_k)) of S in [0, 1] that
+        contains u in (0, 1], with Gamma_0 = 0; ``gap(1.0)`` is the meander."""
+        if not 0 < u <= 1:
+            raise ValueError(f"need 0 < u <= 1, got {u}")
+        depth = -math.log(u)
+        self._extend(self._down, depth)
+        k = bisect.bisect_right(self._down, depth)
+        return math.exp(-self._down[k]), math.exp(-self._down[k - 1]) if k else 1.0
 
 
-def sample_scale_invariant_partition(theta, rng, depth_cutoff: float = 1e-12
-                                     ) -> IntervalPartitionSample:
-    """Gaps (exp(-Gamma_{k+1}), exp(-Gamma_k)) of the scale-invariant set.
-
-    Atoms are generated until the unresolved residual mass drops below
-    ``depth_cutoff``; the returned partition keeps extending lazily if a
-    sample point lands below that.
-    """
-    _check_theta(theta)
+def uniform_sampling_composition(sset: ScaleInvariantSet, n: int, rng) -> Composition:
+    """Sizes of the groups of n uniforms on (0, 1] sharing a gap, left to right."""
     g = _as_rng(rng)
-    th = float(theta)
-    atoms = [1.0]  # right endpoints; atoms[k] = exp(-Gamma_k), Gamma_0 = 0
-    gamma = 0.0
-    intervals: List[tuple] = []
-    while atoms[-1] >= depth_cutoff:
-        gamma += g.exponential(1.0 / th)
-        nxt = math.exp(-gamma)
-        intervals.append((nxt, atoms[-1]))
-        atoms.append(nxt)
-    intervals.reverse()
-
-    state = {"gamma": gamma}
-    sample = IntervalPartitionSample(intervals=intervals, residual=atoms[-1])
-
-    def extend():
-        prev = math.exp(-state["gamma"])
-        state["gamma"] += g.exponential(1.0 / th)
-        nxt = math.exp(-state["gamma"])
-        sample.intervals.insert(0, (nxt, prev))
-        return nxt
-
-    sample.extend = extend
-    return sample
-
-
-def uniform_sampling_composition(partition: IntervalPartitionSample, n: int,
-                                 rng) -> Composition:
-    """Sizes of groups of n uniforms classified by containing interval."""
-    g = _as_rng(rng)
-    us = g.random(n)
-    indices = sorted(partition.locate(u) for u in us)
-    parts = []
-    run = 1
-    for prev, cur in zip(indices, indices[1:]):
-        if cur == prev:
-            run += 1
-        else:
-            parts.append(run)
-            run = 1
-    parts.append(run)
-    return Composition(tuple(parts))
+    counts = collections.Counter(sset.gap(u) for u in 1.0 - g.random(n))
+    return Composition(tuple(counts[gap] for gap in sorted(counts)))
 
 
 def poisson_sampling_composition(sset: ScaleInvariantSet, n: int, rng) -> Composition:

@@ -207,17 +207,22 @@ class DensityCheckReport:
         return self.monotone and self.mass_ok
 
 
-def structural_density_check(law: MeanderLaw, grid_size: int = 10 ** 4,
-                             tol: float = 1e-9) -> DensityCheckReport:
+#: Midpoint grid on which ``structural_density_check`` tests monotonicity.
+DENSITY_GRID = 10 ** 4
+#: Tolerance of ``structural_density_check`` on the total mass.
+DENSITY_MASS_TOL = 1e-9
+
+
+def structural_density_check(law: MeanderLaw) -> DensityCheckReport:
     """Check the structural-law shape: (1-x) phi(x) nonincreasing, mass 1.
 
     A law with no density part (pure atom) passes trivially.
     """
     atom = float(law.atom)
     if law.density is None:
-        return DensityCheckReport(True, abs(atom - 1.0) < tol, atom, 0.0)
+        return DensityCheckReport(True, abs(atom - 1.0) < DENSITY_MASS_TOL, atom, 0.0)
 
-    xs = [(k + 0.5) / grid_size for k in range(grid_size)]
+    xs = [(k + 0.5) / DENSITY_GRID for k in range(DENSITY_GRID)]
     vals = [(1.0 - x) * law.density(x) for x in xs]
     worst = 0.0
     for a, b in zip(vals, vals[1:]):
@@ -228,4 +233,4 @@ def structural_density_check(law: MeanderLaw, grid_size: int = 10 ** 4,
 
     mass, _ = quad(law.density, 0.0, 1.0, epsabs=1e-12, epsrel=1e-12, limit=200)
     total = atom + mass
-    return DensityCheckReport(monotone, abs(total - 1.0) < tol, total, worst)
+    return DensityCheckReport(monotone, abs(total - 1.0) < DENSITY_MASS_TOL, total, worst)

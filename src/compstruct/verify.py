@@ -157,11 +157,14 @@ def check_theorem_SL(cpf: Cpf, n_max: int) -> CheckReport:
 # statistical gates
 
 
-def chi_square_gof(counts: Sequence, expected_probs: Sequence,
-                   min_expected: float = 5.0):
+#: Cells expecting fewer counts than this are pooled by ``chi_square_gof``.
+MIN_EXPECTED = 5.0
+
+
+def chi_square_gof(counts: Sequence, expected_probs: Sequence):
     """Pearson statistic and p-value, pooling small-expectation cells.
 
-    Cells with expected count below ``min_expected`` are pooled into a single
+    Cells with expected count below ``MIN_EXPECTED`` are pooled into a single
     'other' cell before computing the statistic.
     """
     counts = np.asarray(counts, dtype=float)
@@ -170,7 +173,7 @@ def chi_square_gof(counts: Sequence, expected_probs: Sequence,
         raise ValueError("counts and expected table must be nonempty, same length")
     total = counts.sum()
     expected = total * probs
-    keep = expected >= min_expected
+    keep = expected >= MIN_EXPECTED
     obs = list(counts[keep])
     exp = list(expected[keep])
     if not keep.all():

@@ -21,11 +21,11 @@ from compstruct.laws import (DecrementMatrixPair, ewens_cpf, ewens_pair,
                              two_param_levy, two_param_q,
                              two_param_stationary_pair)
 from compstruct.ratmath import rising
-from compstruct.stochastic import (RngStream, batch_arrangements,
+from compstruct.stochastic import (RngStream, ScaleInvariantSet,
+                                   batch_arrangements,
                                    batch_poisson_construction,
                                    batch_uniform_construction, codes_to_counts,
-                                   sample_partition_batch,
-                                   sample_scale_invariant_partition)
+                                   sample_partition_batch)
 from compstruct.structural import (StructuralMoments, block_count_row,
                                    deletion_law, last_part_law,
                                    potential_from_cpf, reconstruct_markov,
@@ -225,11 +225,9 @@ def test_criterion_10_meander_equals_tagged_gap():
     A = np.empty(half)
     V = np.empty(half)
     for i in range(half):
-        A[i] = sample_scale_invariant_partition(
-            1.0, g, depth_cutoff=1e-3).meander_length
+        A[i] = 1.0 - ScaleInvariantSet(1.0, g).gap(1.0)[0]
     for i in range(half):
-        part = sample_scale_invariant_partition(1.0, g, depth_cutoff=1e-3)
-        a, b = part.intervals[part.locate(g.random())]
+        a, b = ScaleInvariantSet(1.0, g).gap(1.0 - g.random())
         V[i] = b - a
     _, p = ks_two_sample(A, V)
     # theta = 1 meander is Beta(1, 1): mean 1/2, second moment 1/3
@@ -284,7 +282,7 @@ def test_criterion_12_determinism():
         batch_arrangements(parts2, 6, 0.5, 0.5, RngStream(103))))
     g1 = RngStream(104).generator()
     g2 = RngStream(104).generator()
-    reps.append(sample_scale_invariant_partition(1.0, g1).intervals
-                == sample_scale_invariant_partition(1.0, g2).intervals)
+    s1, s2 = ScaleInvariantSet(1.0, g1), ScaleInvariantSet(1.0, g2)
+    reps.append(all(s1.gap(u) == s2.gap(u) for u in (1.0, 0.5, 1e-12)))
     emit(12, all(reps), "all seeded sampling runs byte-reproducible "
                         "(seeds 101-104)")

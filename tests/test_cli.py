@@ -379,6 +379,21 @@ class TestCheckCommand:
                            "--matrix-file", str(mf), "--n-max", "5")
         assert code == 0 and "[pass]" in out
 
+    def test_json_lists_the_verdicts_and_the_control_witness(self, capsys):
+        argv = ("check", "--family", "two-param", "--alpha", "1/2", "--theta", "1",
+                "--n-max", "6", "--format", "json")
+        code, out, _ = run(capsys, *argv)
+        checks = json.loads(out)["checks"]
+        assert code == 0
+        assert [c["name"] for c in checks] == [
+            "decrement-recursions", "right-consistency", "uniform-consistency",
+            "theorem-S=L"]
+        assert all(c["verdict"] == "pass" and c["mode"] == "exact" for c in checks)
+        code, out, _ = run(capsys, *argv, "--control", "regenerative")
+        failed = [c for c in json.loads(out)["checks"] if c["verdict"] == "fail"]
+        assert code == 1 and failed
+        assert all(c["witness"] for c in failed)
+
 
 class TestReconstructCommand:
     def test_roundtrip(self, capsys, tmp_path):
@@ -394,6 +409,22 @@ class TestReconstructCommand:
                            "--n", "5")
         assert code == 0
         assert "# roundtrip ewens: pass" in out
+
+    def test_roundtrip_json(self, capsys, tmp_path):
+        from compstruct.laws import ewens_cpf
+        from compstruct.structural import structural_moments
+
+        mom = structural_moments(ewens_cpf(F(1, 2)), 6)
+        mf = tmp_path / "moments.txt"
+        mf.write_text("\n".join(tables.moments_lines([mom(n) for n in range(1, 7)])) + "\n")
+        code, out, _ = run(capsys, "reconstruct", "--moments", str(mf),
+                           "--roundtrip-family", "ewens", "--theta", "1/2",
+                           "--format", "json")
+        tree = json.loads(out)
+        assert code == 0 and tree["roundtrip"] is True
+        assert tree["cpf"]["total"] == "1/1" and len(tree["cpf"]["rows"]) == 1 << 4
+        assert len(tree["q"]) == 15 and len(tree["qstar"]) == 21
+        assert tree["q"][0] == tree["qstar"][0] == "1\t1\t1/1"
 
     def test_infeasible_exit4(self, capsys, tmp_path):
         mf = tmp_path / "moments.txt"
@@ -477,6 +508,31 @@ class TestArrangeCommand:
         code, _, _ = run(capsys, "arrange", "--partition", "2,0", "--alpha",
                          "1/2", "--theta", "1", "--seed", "3")
         assert code == 2
+
+    def test_sixteen_ones(self, capsys):
+        # one arrangement, found without walking the 16! orderings
+        code, out, _ = run(capsys, "arrange", "--partition", ",".join("1" * 16),
+                           "--alpha", "1/2", "--theta", "1", "--seed", "3",
+                           "--draws", "50", "--format", "json")
+        rows = json.loads(out)["rows"]
+        assert code == 0
+        assert [(r["binary"], r["count"], r["expected"]) for r in rows if r["expected"]] \
+            == [("1" * 16, 50, 50.0)]
+
+
+@pytest.mark.parametrize("argv", [
+    ("arrange", "--partition", "2,1", "--alpha", "1/2", "--theta", "1", "--seed", "3",
+     "--matrix-file", "pair.txt"),
+    ("fragment", "--outer", "ewens", "--outer-theta", "1", "--inner", "ewens",
+     "--inner-theta", "1", "--n", "4", "--alpha", "1/2"),
+    ("fragment", "--outer", "ewens", "--outer-theta", "1", "--inner", "ewens",
+     "--inner-theta", "1", "--n", "4", "--theta", "zzz"),
+], ids=["arrange-matrix-file", "fragment-alpha", "fragment-theta"])
+def test_flags_a_command_does_not_read_exit2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestFragmentCommand:

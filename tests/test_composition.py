@@ -74,6 +74,21 @@ class TestRank:
         assert arrs == {Composition((2, 1, 1)), Composition((1, 2, 1)),
                         Composition((1, 1, 2))}
 
+    def test_distinct_arrangements_of_many_equal_parts(self):
+        assert list(Partition((1,) * 16).distinct_arrangements()) == [Composition((1,) * 16)]
+        arrs = list(Partition((2,) + (1,) * 14).distinct_arrangements())
+        assert len(arrs) == len(set(arrs)) == 15
+        assert arrs[0] == Composition((2,) + (1,) * 14)
+
+    @given(compositions())
+    def test_distinct_arrangements_are_the_rank_class(self, c):
+        lam = c.rank()
+        arrs = list(lam.distinct_arrangements())
+        # each once, lexicographically largest first, and all of the class
+        assert sorted(arrs, key=lambda a: a.parts, reverse=True) == arrs
+        assert len(set(arrs)) == len(arrs)
+        assert set(arrs) == {d for d in enumerate_compositions(lam.n) if d.rank() == lam}
+
     def test_partition_count(self):
         # p(1..8) = 1, 2, 3, 5, 7, 11, 15, 22
         assert [len(enumerate_partitions(n)) for n in range(1, 9)] == \

@@ -247,6 +247,14 @@ class TestLevyCalculus:
         # ratio Phi(2)/Phi(1) is normalization-free
         assert levy_exponent(spec, 2) / levy_exponent(spec, 1) == F(8, 5)
 
+    def test_exact_exponent_refuses_a_non_integer_s(self):
+        for s in (2.5, F(5, 2), 2.0):
+            with pytest.raises(ValueError, match="integer s, got s = "):
+                levy_exponent(two_param_levy(F(1, 2), 1), s)
+        # float data take any real s >= 0, and a drift any s
+        assert levy_exponent(two_param_levy(0.5, 1.0), 2.5) > 0
+        assert levy_exponent(LevySpec(drift=F(1, 2)), 2.5) == 1.25
+
     def test_exponent_quadrature_agrees(self):
         # oracle: the raw exponent s B(1-alpha, s+theta) over the raw
         # log-moment m = B(1-alpha, theta), both modes under m = 1
@@ -366,10 +374,6 @@ class TestStationaryPair:
             meander_moments(law, 1030, 515)
         with pytest.raises(ValueError, match="overflows a float"):
             two_param_stationary_pair(0.5, 1.0).qstar.row(1100)
-
-    def test_float_spec_is_not_exact(self):
-        assert not two_param_levy(1 / 3, 2 / 3).is_exact
-        assert two_param_levy(F(1, 3), F(2, 3)).is_exact
 
 
 class TestPotentials:

@@ -27,7 +27,6 @@ from compstruct.stochastic import (RngStream, ScaleInvariantSet,
                                    sample_markov_composition,
                                    sample_partition_batch,
                                    sample_renewal_string,
-                                   sample_scale_invariant_partition,
                                    uniform_sampling_composition)
 from compstruct.stochastic import (_bits_to_codes, _ewens_hazard, _markov_hazard,
                                    _renewal_hazard)
@@ -262,9 +261,8 @@ class TestScaleInvariantConstructions:
     def test_meander_is_beta_1_theta(self):
         rng = RngStream(21).generator()
         theta = 2.0
-        lengths = np.array([
-            sample_scale_invariant_partition(theta, rng).meander_length
-            for _ in range(20000)])
+        lengths = np.array([1.0 - ScaleInvariantSet(theta, rng).gap(1.0)[0]
+                            for _ in range(20000)])
         # A ~ Beta(1, theta): cdf 1 - (1-x)^theta
         stat, p = ks_against_cdf(lengths, lambda x: 1 - (1 - x) ** theta)
         assert p > P_GATE
@@ -284,13 +282,44 @@ class TestScaleInvariantConstructions:
         cu = np.zeros(8)
         cp = np.zeros(8)
         for _ in range(8000):
-            part = sample_scale_invariant_partition(1.0, rng)
-            cu[idx[uniform_sampling_composition(part, 4, rng).code]] += 1
+            sset = ScaleInvariantSet(1.0, rng)
+            cu[idx[uniform_sampling_composition(sset, 4, rng).code]] += 1
             sset = ScaleInvariantSet(1.0, rng)
             cp[idx[poisson_sampling_composition(sset, 4, rng).code]] += 1
         probs = ewens_cpf(1).float_probs(4)
         assert chi_square_gof(cu, probs)[1] > P_GATE
         assert chi_square_gof(cp, probs)[1] > P_GATE
+
+    @pytest.mark.parametrize("theta", [F(1, 2), 2], ids=str)
+    def test_op_level_constructions_follow_ewens(self, theta):
+        rng = RngStream(28).generator()
+        idx = {c.code: i for i, c in enumerate(enumerate_compositions(5))}
+        cu = np.zeros(16)
+        cp = np.zeros(16)
+        for _ in range(10000):
+            cu[idx[uniform_sampling_composition(ScaleInvariantSet(theta, rng), 5, rng).code]] += 1
+            cp[idx[poisson_sampling_composition(ScaleInvariantSet(theta, rng), 5, rng).code]] += 1
+        probs = ewens_cpf(theta).float_probs(5)
+        assert chi_square_gof(cu, probs)[1] > P_GATE
+        assert chi_square_gof(cp, probs)[1] > P_GATE
+
+    @pytest.mark.parametrize("theta", [0.5, 2.0])
+    def test_gap_is_the_gap_of_the_atom_set(self, theta):
+        rng = RngStream(29).generator()
+        split = set()
+        for _ in range(500):
+            sset = ScaleInvariantSet(theta, rng)
+            u, v = sorted(1.0 - rng.random(2))
+            for w in (u, v):
+                a, b = sset.gap(w)
+                assert 0 < a < w <= b <= 1
+            assert sset.gap(1.0)[1] == 1.0
+            split.add(sset.has_atom_in(u, v))
+            assert sset.has_atom_in(u, v) == (sset.gap(u) != sset.gap(v))
+        assert split == {True, False}
+        for bad in (0.0, -0.5, 1.5, float("nan")):
+            with pytest.raises(ValueError):
+                sset.gap(bad)
 
     def test_poisson_n1(self):
         rng = RngStream(25).generator()
