@@ -1,4 +1,9 @@
-"""Exact tables, samplers and consistency checks for composition structures."""
+"""Exact tables, samplers and consistency checks for composition structures.
+
+The exact layers (composition, laws, structural, verify, tables) import no
+numpy.  The sampling names below load ``compstruct.stochastic``, and numpy
+with it, on first access, so a process that never samples never pays for it.
+"""
 
 from .composition import (EMPTY, MAX_ENUM_N, Composition, Partition,
                           enumerate_compositions, enumerate_partitions,
@@ -10,15 +15,6 @@ from .laws import (Cpf, DecrementMatrix, DecrementMatrixPair, LevySpec,
                    potential_from_levy, pure_drift_meander, renewal_cpf,
                    sibi_cpf, stationary_pair, two_param_levy, two_param_q,
                    two_param_stationary_pair, upchain_transition)
-from .stochastic import (RngStream, arrange_partition, batch_arrangements,
-                         batch_ewens_strings, batch_markov_compositions,
-                         batch_poisson_construction, batch_renewal_strings,
-                         batch_uniform_construction, codes_to_counts,
-                         fragment_sample, poisson_sampling_composition,
-                         sample_bernoulli_string, sample_gem,
-                         sample_markov_composition, sample_partition_batch,
-                         sample_renewal_string, ScaleInvariantSet,
-                         uniform_sampling_composition)
 from .structural import (ReconstructionError, StructuralMoments,
                          block_count_row, deletion_law, expected_num_parts,
                          last_part_law, potential_from_cpf, reconstruct_markov,
@@ -30,6 +26,23 @@ from .verify import (CheckReport, check_decrement_recursions,
                      chi_square_gof, ks_against_cdf, ks_two_sample)
 
 __version__ = "0.1.0"
+
+_STOCHASTIC_NAMES = frozenset({
+    "RngStream", "arrange_partition", "batch_arrangements", "batch_ewens_strings",
+    "batch_markov_compositions", "batch_poisson_construction", "batch_renewal_strings",
+    "batch_uniform_construction", "codes_to_counts", "fragment_sample",
+    "poisson_sampling_composition", "sample_bernoulli_string", "sample_gem",
+    "sample_markov_composition", "sample_partition_batch", "sample_renewal_string",
+    "ScaleInvariantSet", "uniform_sampling_composition"})
+
+
+def __getattr__(name):
+    # not cached here, so a name rebound in compstruct.stochastic reads through
+    if name in _STOCHASTIC_NAMES:
+        from . import stochastic
+
+        return getattr(stochastic, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def backend_name() -> str:

@@ -2,9 +2,11 @@
 
 Subcommands: cpf, sample, check, reconstruct, arrange, fragment.  Every
 family is a decrement-matrix pair, so ``check`` treats all alike.  Fractions
-"p/q" and integers keep the run exact; decimals force float mode.  Exit
-codes: 0 success, 1 failed check, 2 invalid parameters, 3 enumeration cap
-exceeded, 4 reconstruction infeasible.
+"p/q" and integers keep the run exact; decimals force float mode.  Only
+``sample`` and ``arrange`` import the sampling layer, and numpy with it; the
+exact commands run without numpy.  Exit codes: 0 success, 1 failed check, 2
+invalid parameters (a size below 1 among them), 3 enumeration cap exceeded,
+4 reconstruction infeasible.
 """
 
 from __future__ import annotations
@@ -19,10 +21,6 @@ from .composition import MAX_ENUM_N, Partition, enumerate_compositions
 from .laws import (Cpf, DecrementMatrix, DecrementMatrixPair, ewens_pair, fragment_cpf,
                    markov_cpf, renewal_pair, two_param_stationary_pair)
 from .ratmath import parse_scalar
-from .stochastic import (RngStream, batch_arrangements, batch_ewens_strings,
-                         batch_markov_compositions, batch_poisson_construction,
-                         batch_renewal_strings, batch_uniform_construction,
-                         codes_to_counts)
 from .structural import ReconstructionError, reconstruct_markov, StructuralMoments
 from .verify import (check_decrement_recursions, check_right_consistency,
                      check_theorem_SL, check_uniform_consistency)
@@ -51,7 +49,9 @@ def _scalar(text):
         raise CliError(f"cannot parse scalar {text!r}", EXIT_BAD_PARAMS)
 
 
-def _check_cap(n):
+def _check_size(n, flag="--n"):
+    if n < 1:
+        raise CliError(f"{flag} must be >= 1, got {n}", EXIT_BAD_PARAMS)
     if n > MAX_ENUM_N:
         raise CliError(f"n = {n} exceeds the enumeration cap {MAX_ENUM_N}",
                        EXIT_CAP_EXCEEDED)
@@ -142,7 +142,7 @@ def _emit(args, text_lines, tree):
 
 
 def cmd_cpf(args):
-    _check_cap(args.n)
+    _check_size(args.n)
     cpf = build_cpf(args.family, _scalar(args.alpha), _scalar(args.theta),
                     args.matrix_file)
     _emit(args, lambda: tables.cpf_table_lines(cpf, args.n),
@@ -151,7 +151,11 @@ def cmd_cpf(args):
 
 
 def cmd_sample(args):
-    _check_cap(args.n)
+    from .stochastic import (RngStream, batch_ewens_strings, batch_markov_compositions,
+                             batch_poisson_construction, batch_renewal_strings,
+                             batch_uniform_construction, codes_to_counts)
+
+    _check_size(args.n)
     if args.method != "string" and args.family != "ewens":
         raise CliError(f"--method {args.method} samples only --family ewens",
                        EXIT_BAD_PARAMS)
@@ -189,7 +193,7 @@ def cmd_sample(args):
 
 
 def cmd_check(args):
-    _check_cap(args.n_max)
+    _check_size(args.n_max, "--n-max")
     pair = build_pair(args.family, _scalar(args.alpha), _scalar(args.theta),
                       args.matrix_file)
     if args.control == "regenerative":
@@ -215,7 +219,8 @@ def cmd_reconstruct(args):
         print(f"reconstruction infeasible: {exc}", file=sys.stderr)
         return EXIT_RECONSTRUCTION
     N = moments.max_n - 1
-    table_n = min(N, args.n or N)
+    table_n = N if args.n is None else min(N, args.n)
+    _check_size(table_n)
     ok = None
     if args.roundtrip_family:
         ref = build_cpf(args.roundtrip_family, _scalar(args.alpha), _scalar(args.theta),
@@ -262,13 +267,19 @@ def arrangement_probs(lam: Partition, alpha, theta) -> list:
 
 def cmd_arrange(args):
     alpha, theta = _scalar(args.alpha), _scalar(args.theta)
+    if alpha is None or theta is None:
+        raise CliError("arrange needs --alpha and --theta", EXIT_BAD_PARAMS)
+    if args.draws < 0:
+        raise CliError(f"draws must be >= 0, got {args.draws}", EXIT_BAD_PARAMS)
     try:
         lam = Partition.from_string(args.partition)
     except ValueError as exc:
         raise CliError(str(exc), EXIT_BAD_PARAMS) from exc
+    _check_size(lam.n)
     import numpy as np
 
-    _check_cap(lam.n)
+    from .stochastic import RngStream, batch_arrangements, codes_to_counts
+
     stream = RngStream(seed=args.seed, stream=args.stream)
     try:
         parts = np.tile(np.array(lam.parts, dtype=np.int64), (args.draws, 1))
@@ -283,7 +294,7 @@ def cmd_arrange(args):
 
 
 def cmd_fragment(args):
-    _check_cap(args.n)
+    _check_size(args.n)
     outer = build_pair(args.outer, _scalar(args.outer_alpha), _scalar(args.outer_theta),
                        args.matrix_file)
     inner = build_cpf(args.inner, _scalar(args.inner_alpha), _scalar(args.inner_theta),

@@ -11,8 +11,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .composition import Composition, enumerate_compositions
 from .laws import Cpf, DecrementMatrixPair
 from .ratmath import is_exact
@@ -167,6 +165,8 @@ def chi_square_gof(counts: Sequence, expected_probs: Sequence):
     Cells with expected count below ``MIN_EXPECTED`` are pooled into a single
     'other' cell before computing the statistic.
     """
+    import numpy as np
+
     counts = np.asarray(counts, dtype=float)
     probs = np.asarray([float(p) for p in expected_probs])
     if counts.size == 0 or counts.size != probs.size:

@@ -12,7 +12,7 @@ from hypothesis import example, given, strategies as st
 import compstruct
 from compstruct import tables
 from compstruct.cli import main
-from compstruct.composition import enumerate_compositions
+from compstruct.composition import MAX_ENUM_N, enumerate_compositions
 from compstruct.laws import (DecrementMatrixPair, ewens_pair, markov_cpf, two_param_q,
                              two_param_stationary_pair)
 
@@ -33,14 +33,19 @@ def write_pair(path, pair, N, skip=()):
     return str(path)
 
 
-def run_without_scipy(code):
-    """Run code in a fresh interpreter and check that it loaded no scipy module."""
-    code += "import sys\nassert not any(m.split('.')[0] == 'scipy' for m in sys.modules)\n"
+def run_fresh(code):
+    """Run code in a fresh interpreter that imports this compstruct."""
     src = os.path.dirname(os.path.dirname(compstruct.__file__))
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60,
                    stdout=subprocess.DEVNULL)
+
+
+def run_without(package, code):
+    """Run code in a fresh interpreter and check that it loaded no ``package`` module."""
+    run_fresh(code + "import sys\n"
+              f"assert not any(m.split('.')[0] == {package!r} for m in sys.modules)\n")
 
 
 def text_rows(out):
@@ -164,18 +169,18 @@ class TestCpfCommand:
 
     def test_float_two_param_loads_no_scipy(self):
         # the closed-form pair needs no Levy exponent, so no scipy.special
-        run_without_scipy("from compstruct.cli import main\n"
-                          "assert main(['cpf', '--family', 'two-param', '--alpha', '0.5',\n"
-                          "             '--theta', '1.0', '--n', '6']) == 0\n")
+        run_without("scipy", "from compstruct.cli import main\n"
+                    "assert main(['cpf', '--family', 'two-param', '--alpha', '0.5',\n"
+                    "             '--theta', '1.0', '--n', '6']) == 0\n")
 
     def test_float_levy_path_loads_no_scipy(self):
         # the Levy exponent, the potential and the Beta density use lgamma
-        run_without_scipy("from compstruct.laws import (beta_meander, levy_exponent,\n"
-                          "                             potential_from_levy, two_param_levy)\n"
-                          "spec = two_param_levy(0.5, 1.0)\n"
-                          "assert levy_exponent(spec, 3) > 0\n"
-                          "assert potential_from_levy(spec, 4) > 0\n"
-                          "assert beta_meander(0.5, 1.0).density(0.3) > 0\n")
+        run_without("scipy", "from compstruct.laws import (beta_meander, levy_exponent,\n"
+                    "                             potential_from_levy, two_param_levy)\n"
+                    "spec = two_param_levy(0.5, 1.0)\n"
+                    "assert levy_exponent(spec, 3) > 0\n"
+                    "assert potential_from_levy(spec, 4) > 0\n"
+                    "assert beta_meander(0.5, 1.0).density(0.3) > 0\n")
 
     @pytest.mark.parametrize("fmt, unused", [("text", "cpf_table_tree"),
                                              ("json", "cpf_table_lines")])
@@ -444,6 +449,20 @@ class TestReconstructCommand:
         assert outs[0] == outs[1]
         assert "q\t3\t1\t3/5" in outs[0]
 
+    def test_table_past_the_cap_exit3(self, capsys, tmp_path):
+        # moments p(1..N+1) with N = MAX_ENUM_N + 1 ask for a CPF table past the cap
+        from compstruct.laws import ewens_cpf
+        from compstruct.structural import structural_moments
+
+        mom = structural_moments(ewens_cpf(1), MAX_ENUM_N + 2)
+        mf = tmp_path / "moments.txt"
+        mf.write_text("\n".join(tables.moments_lines(
+            [mom(n) for n in range(1, MAX_ENUM_N + 3)])) + "\n")
+        code, out, err = run(capsys, "reconstruct", "--moments", str(mf))
+        assert (code, out) == (3, "") and "enumeration cap" in err
+        code, out, _ = run(capsys, "reconstruct", "--moments", str(mf), "--n", "3")
+        assert code == 0 and "# total\t1/1" in out
+
     def test_malformed_moments_file_exit2(self, capsys, tmp_path):
         mf = tmp_path / "moments.txt"
         mf.write_text("1\nabc\n")
@@ -456,6 +475,34 @@ class TestReconstructCommand:
                              str(tmp_path / "absent.txt"))
         assert (code, out) == (2, "")
         assert err.startswith("error:") and "cannot read moments file" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("cpf", "--family", "ewens", "--theta", "1", "--n"),
+    ("sample", "--family", "ewens", "--theta", "1", "--seed", "1", "--n"),
+    ("check", "--family", "ewens", "--theta", "1", "--n-max"),
+    ("fragment", "--outer", "ewens", "--outer-theta", "1", "--inner", "ewens",
+     "--inner-theta", "1", "--n"),
+    ("reconstruct", "--moments", "{moments}", "--n"),
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("size", ["0", "-3"])
+def test_size_below_one_exit2(capsys, tmp_path, argv, size):
+    mf = tmp_path / "moments.txt"
+    mf.write_text("1\n1/2\n1/3\n")
+    code, out, err = run(capsys, *(a.format(moments=mf) for a in argv), size)
+    assert (code, out) == (2, "")
+    assert err == f"error: {argv[-1]} must be >= 1, got {size}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("sample", "--family", "ewens", "--theta", "1", "--seed", "1", "--n"),
+    ("check", "--family", "ewens", "--theta", "1", "--n-max"),
+    ("fragment", "--outer", "ewens", "--outer-theta", "1", "--inner", "ewens",
+     "--inner-theta", "1", "--n"),
+], ids=lambda argv: argv[0])
+def test_size_above_the_cap_exit3(capsys, argv):
+    code, out, err = run(capsys, *argv, str(MAX_ENUM_N + 1))
+    assert (code, out) == (3, "") and "enumeration cap" in err
 
 
 class TestArrangeCommand:
@@ -503,6 +550,15 @@ class TestArrangeCommand:
         code, out, err = run(capsys, "arrange", "--partition", "2,1", "--alpha",
                              alpha, "--theta", theta, "--seed", "3")
         assert code == 2 and out == "" and err.startswith("error:")
+
+    @pytest.mark.parametrize("params, message", [
+        (("--alpha", "1/2"), "arrange needs --alpha and --theta"),
+        (("--theta", "1"), "arrange needs --alpha and --theta"),
+        (("--alpha", "1/2", "--theta", "1", "--draws", "-1"), "draws must be >= 0, got -1"),
+    ])
+    def test_missing_param_or_negative_draws_exit2(self, capsys, params, message):
+        code, out, err = run(capsys, "arrange", "--partition", "2,1", "--seed", "1", *params)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_bad_partition_exit2(self, capsys):
         code, _, _ = run(capsys, "arrange", "--partition", "2,0", "--alpha",
@@ -552,3 +608,65 @@ class TestFragmentCommand:
         assert code == 0
         _, ref, _ = run(capsys, "fragment", "--outer", "ewens", "--outer-theta", "1", *inner)
         assert text_rows(out) == text_rows(ref)
+
+
+STOCHASTIC_EXPORTS = (
+    "RngStream", "arrange_partition", "batch_arrangements", "batch_ewens_strings",
+    "batch_markov_compositions", "batch_poisson_construction", "batch_renewal_strings",
+    "batch_uniform_construction", "codes_to_counts", "fragment_sample",
+    "poisson_sampling_composition", "sample_bernoulli_string", "sample_gem",
+    "sample_markov_composition", "sample_partition_batch", "sample_renewal_string",
+    "ScaleInvariantSet", "uniform_sampling_composition")
+
+
+class TestImportBoundary:
+    """Only ``sample`` and ``arrange`` load numpy; the exact commands never do."""
+
+    def test_package_and_cli_load_no_numpy(self):
+        run_without("numpy", "import compstruct, compstruct.cli\n")
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("alpha, theta", [("1/2", "1"), ("0.5", "1.0")],
+                             ids=["exact", "decimal"])
+    def test_exact_commands_load_no_numpy(self, tmp_path, fmt, alpha, theta):
+        from compstruct.laws import ewens_cpf
+        from compstruct.structural import structural_moments
+
+        mom = structural_moments(ewens_cpf(1), 6)
+        mf = tmp_path / "moments.txt"
+        mf.write_text("\n".join(tables.moments_lines([mom(n) for n in range(1, 7)])) + "\n")
+        pair = ["--family", "two-param", "--alpha", alpha, "--theta", theta]
+        runs = [
+            (["cpf", *pair, "--n", "6"], (0,)),
+            (["check", *pair, "--n-max", "6"], (0,)),
+            (["check", *pair, "--n-max", "6", "--control", "regenerative"], (1,)),
+            (["fragment", "--outer", "two-param", "--outer-alpha", alpha, "--outer-theta",
+              theta, "--inner", "ewens", "--inner-theta", theta, "--n", "5"], (0,)),
+            # a float reference is compared bit for bit, so any verdict will do
+            (["reconstruct", "--moments", str(mf), "--roundtrip-family", "ewens",
+              "--theta", theta], (0,) if theta == "1" else (0, 1)),
+        ]
+        run_without("numpy", "from compstruct.cli import main\n" + "".join(
+            f"assert main({argv + ['--format', fmt]!r}) in {want!r}\n" for argv, want in runs))
+
+    def test_sampling_commands_run_in_a_fresh_process(self):
+        run_fresh("import sys\n"
+                  "from compstruct.cli import main\n"
+                  "assert main(['sample', '--family', 'two-param', '--alpha', '0.5',\n"
+                  "             '--theta', '1.0', '--n', '5', '--seed', '1']) == 0\n"
+                  "assert main(['arrange', '--partition', '2,1,1', '--alpha', '1/2',\n"
+                  "             '--theta', '1', '--seed', '1']) == 0\n"
+                  "assert 'numpy' in sys.modules\n")
+
+    def test_lazy_names_are_the_stochastic_objects(self):
+        run_fresh("import sys\n"
+                  "import compstruct\n"
+                  "assert 'compstruct.stochastic' not in sys.modules\n"
+                  f"for name in {STOCHASTIC_EXPORTS!r}:\n"
+                  "    assert getattr(compstruct, name) is getattr(compstruct.stochastic, name)\n"
+                  "try:\n"
+                  "    compstruct.no_such_name\n"
+                  "except AttributeError as exc:\n"
+                  "    assert 'no_such_name' in str(exc)\n"
+                  "else:\n"
+                  "    raise AssertionError('compstruct.no_such_name resolved')\n")
