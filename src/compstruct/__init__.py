@@ -6,8 +6,7 @@ with it, on first access, so a process that never samples never pays for it.
 """
 
 from .composition import (EMPTY, MAX_ENUM_N, Composition, Partition,
-                          enumerate_compositions, enumerate_partitions,
-                          uniform_reduction_kernel)
+                          enumerate_compositions, enumerate_partitions)
 from .laws import (Cpf, DecrementMatrix, DecrementMatrixPair, LevySpec,
                    MeanderLaw, beta_meander, ewens_cpf, fragment_cpf,
                    levy_binomial, levy_exponent, markov_cpf,
@@ -23,17 +22,15 @@ from .structural import (ReconstructionError, StructuralMoments,
 from .verify import (CheckReport, check_decrement_recursions,
                      check_left_consistency, check_right_consistency,
                      check_theorem_SL, check_uniform_consistency,
-                     chi_square_gof, ks_against_cdf, ks_two_sample)
+                     chi_square_gof)
 
 __version__ = "0.1.0"
 
 _STOCHASTIC_NAMES = frozenset({
-    "RngStream", "arrange_partition", "batch_arrangements", "batch_ewens_strings",
+    "RngStream", "batch_arrangements", "batch_ewens_strings",
     "batch_markov_compositions", "batch_poisson_construction", "batch_renewal_strings",
-    "batch_uniform_construction", "codes_to_counts", "fragment_sample",
-    "poisson_sampling_composition", "sample_bernoulli_string", "sample_gem",
-    "sample_markov_composition", "sample_partition_batch", "sample_renewal_string",
-    "ScaleInvariantSet", "uniform_sampling_composition"})
+    "batch_uniform_construction", "codes_to_counts", "poisson_sampling_composition",
+    "sample_partition_batch", "ScaleInvariantSet", "uniform_sampling_composition"})
 
 
 def __getattr__(name):

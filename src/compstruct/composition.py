@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator
 
 #: Hard cap for exhaustive enumeration; 2^15 entries keep exact arithmetic
@@ -218,11 +217,3 @@ def enumerate_partitions(n: int) -> list:
     rec(n, n, [])
     return out
 
-
-def uniform_reduction_kernel(mu: Composition, lam) -> Fraction:
-    """Transition probability kappa(mu, lam) under uniform ball deletion."""
-    target_n = 0 if lam is EMPTY else lam.n
-    if mu.n != target_n + 1:
-        raise ValueError(f"|mu| = {mu.n} must be |lambda| + 1 = {target_n + 1}")
-    hits = sum(1 for pos in range(1, mu.n + 1) if mu.delete_ball(pos) == lam)
-    return Fraction(hits, mu.n)

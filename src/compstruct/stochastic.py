@@ -1,18 +1,18 @@
-"""Randomised constructions: string samplers grown ball by ball,
-stick-breaking, scale-invariant Poisson sets, the two uniform/Poisson
-sampling constructions, fragmentation, and the size-biased arrangement
-algorithm.
+"""Randomised constructions: string laws grown ball by ball, the
+scale-invariant Poisson set and its two sampling constructions, and the
+size-biased arrangement of partitions.
 
 Each sampled law has one vectorised numpy kernel that draws many
 compositions at once from an ``np.random.Generator`` and returns them as
 integer binary codes (MSB = first digit).  The right-consistent string laws
 (Ewens, forward renewal, Markov product form) share one kernel that grows a
 composition ball by ball; each law supplies only its hazard table, the
-probability that the next ball opens a new part.  The ``batch_*`` functions
-run a kernel on a seeded :class:`RngStream`; the per-draw string, Markov and
-arrangement samplers are single-draw calls of the same kernels.  One lazy
-:class:`ScaleInvariantSet` is the per-draw reference for both set
-constructions: ``uniform_sampling_composition(sset, n, rng)`` reads its gaps,
+probability that the next ball opens a new part.  The first m digits of a
+draw at n are the draw at m, so one row samples the whole sequence
+C_1, ..., C_n.  The ``batch_*`` functions run a kernel on a seeded
+:class:`RngStream`.  One lazy :class:`ScaleInvariantSet` is the op-level
+reference for both set constructions:
+``uniform_sampling_composition(sset, n, rng)`` reads its gaps,
 ``poisson_sampling_composition(sset, n, rng)`` its atoms.
 """
 
@@ -22,24 +22,18 @@ import bisect
 import collections
 import math
 from dataclasses import dataclass
-from typing import Callable, List
+from typing import List
 
 import numpy as np
 
-from .composition import Composition, Partition, enumerate_partitions
+from .composition import Composition, enumerate_partitions
 from .laws import DecrementMatrixPair, _check_alpha_theta, partition_law
 
 __all__ = [
     "RngStream",
-    "sample_bernoulli_string",
-    "sample_renewal_string",
-    "sample_markov_composition",
-    "sample_gem",
     "ScaleInvariantSet",
     "uniform_sampling_composition",
     "poisson_sampling_composition",
-    "fragment_sample",
-    "arrange_partition",
     "batch_ewens_strings",
     "batch_renewal_strings",
     "batch_markov_compositions",
@@ -73,52 +67,6 @@ def _as_rng(rng) -> np.random.Generator:
     if isinstance(rng, np.random.Generator):
         return rng
     raise TypeError(f"expected RngStream or numpy Generator, got {type(rng)}")
-
-
-# ---------------------------------------------------------------------------
-# string samplers and stick-breaking
-
-
-def sample_bernoulli_string(theta, n: int, rng) -> Composition:
-    """Independent digits with P(xi_j = 1) = theta/(j+theta-1); xi_1 = 1."""
-    return _draw_one(_ewens_hazard(theta), n, rng)
-
-
-def sample_renewal_string(alpha, n: int, rng) -> Composition:
-    """1s at the renewal times R_k = 1 + X_1 + ... + X_k, truncated at n."""
-    return _draw_one(_renewal_hazard(alpha), n, rng)
-
-
-def sample_markov_composition(dm: DecrementMatrixPair, n: int, rng) -> Composition:
-    """Exact product-formula sampler, growing the composition ball by ball.
-
-    Ball m+1 opens a new part with probability q*(m+1:1) q(m:r) / q*(m:r),
-    r the last part of the first m balls.  q rows 1..n-1 and q* rows 1..n
-    must each be a probability vector summing to 1 within 1e-9, and the pair
-    must be right-consistent: q*(m+1:1) q(m:r) + q*(m+1:r+1) = q*(m:r)
-    within 1e-9 for every m < n.  Otherwise it raises ValueError.
-    """
-    return _draw_one(_markov_hazard(dm), n, rng)
-
-
-def sample_gem(alpha, theta, k: int, rng) -> list:
-    """First k size-biased frequencies by stick-breaking.
-
-    W_i ~ Beta(1-alpha, theta + i*alpha), the standard two-parameter
-    residual-allocation indexing.
-    """
-    _check_alpha_theta(alpha, theta)
-    if not k >= 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    g = _as_rng(rng)
-    a, t = float(alpha), float(theta)
-    out = []
-    stick = 1.0
-    for i in range(1, k + 1):
-        w = g.beta(1.0 - a, t + i * a)
-        out.append(stick * w)
-        stick *= 1.0 - w
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -189,38 +137,6 @@ def poisson_sampling_composition(sset: ScaleInvariantSet, n: int, rng) -> Compos
 
 
 # ---------------------------------------------------------------------------
-# fragmentation
-
-
-def fragment_sample(outer: Composition, inner_sampler: Callable[[int], Composition],
-                    ) -> Composition:
-    """Replace each part r of ``outer`` by an independent inner composition of r."""
-    parts = []
-    for r in outer.parts:
-        inner = inner_sampler(r)
-        if inner.n != r:
-            raise ValueError(f"inner sampler returned a composition of {inner.n}, not {r}")
-        parts.extend(inner.parts)
-    return Composition(tuple(parts))
-
-
-# ---------------------------------------------------------------------------
-# arrangement of partitions
-
-
-def arrange_partition(partition: Partition, alpha, theta, rng) -> Composition:
-    """Arrange a partition as a self-similar Markov composition.
-
-    A size-biased pick becomes the rightmost part; the rest is arranged right
-    to left with the deletion kernel weighting each part of size r of the
-    remainder (of size S) proportionally to (S-r) tau + r (1-tau),
-    tau = alpha/(2 alpha + theta).
-    """
-    code = _arrange_codes([partition.parts], partition.n, alpha, theta, _as_rng(rng))[0]
-    return Composition.from_code(int(code), partition.n)
-
-
-# ---------------------------------------------------------------------------
 # sampling kernels: one per law, (draws,) int64 codes from a Generator
 
 MAX_CODE_N = 63  # the code of a composition of n has its top bit at n - 1
@@ -268,10 +184,6 @@ def _growth_codes(hazard, n, draws, g):
         last += 1
         last *= ~new
     return codes
-
-
-def _draw_one(hazard, n, rng) -> Composition:
-    return Composition.from_code(int(_growth_codes(hazard, n, 1, _as_rng(rng))[0]), n)
 
 
 def _ewens_hazard(theta):
@@ -405,8 +317,14 @@ def batch_renewal_strings(alpha, n: int, draws: int, stream: RngStream) -> np.nd
 
 def batch_markov_compositions(dm: DecrementMatrixPair, n: int, draws: int,
                               stream: RngStream) -> np.ndarray:
-    """Product-formula draws, as ``sample_markov_composition``: q rows 1..n-1
-    and q* rows 1..n must be laws and the pair right-consistent."""
+    """Exact product-formula draws, grown ball by ball.
+
+    Ball m+1 opens a new part with probability q*(m+1:1) q(m:r) / q*(m:r),
+    r the last part of the first m balls.  q rows 1..n-1 and q* rows 1..n
+    must each be a probability vector summing to 1 within 1e-9, and the pair
+    must be right-consistent: q*(m+1:1) q(m:r) + q*(m+1:r+1) = q*(m:r)
+    within 1e-9 for every m < n.  Otherwise it raises ValueError.
+    """
     return _growth_codes(_markov_hazard(dm), n, draws, _kernel_rng(stream))
 
 
@@ -425,6 +343,8 @@ def sample_partition_batch(alpha, theta, n: int, draws: int, stream: RngStream
     """Partition draws from the exact (alpha,theta) partition law, as a
     zero-padded (draws, max_parts) parts matrix."""
     _check_alpha_theta(alpha, theta)
+    if not n >= 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     partitions = enumerate_partitions(n)
     probs = np.array([float(partition_law(alpha, theta, lam)) for lam in partitions])
     probs = probs / probs.sum()

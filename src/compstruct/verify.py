@@ -1,8 +1,8 @@
 """Consistency checkers and statistical test machinery.
 
 Exact checks turn the consistency identities into pass/fail reports with a
-reproducible worst-violation witness; chi-square and KS helpers gate the
-Monte Carlo samplers against exact tables.
+reproducible worst-violation witness; a pooled chi-square gate compares
+sampled counts with an exact table.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ __all__ = [
     "check_decrement_recursions",
     "check_theorem_SL",
     "chi_square_gof",
-    "ks_two_sample",
-    "ks_against_cdf",
 ]
 
 FLOAT_TOL = 1e-9
@@ -189,20 +187,3 @@ def chi_square_gof(counts: Sequence, expected_probs: Sequence):
 
     return stat, float(chdtrc(df, stat)), df
 
-
-def ks_two_sample(xs: Sequence, ys: Sequence):
-    if len(xs) == 0 or len(ys) == 0:
-        raise ValueError("samples must be nonempty")
-    from scipy.stats import ks_2samp
-
-    res = ks_2samp(xs, ys)
-    return float(res.statistic), float(res.pvalue)
-
-
-def ks_against_cdf(xs: Sequence, cdf):
-    if len(xs) == 0:
-        raise ValueError("sample must be nonempty")
-    from scipy.stats import kstest
-
-    res = kstest(xs, cdf)
-    return float(res.statistic), float(res.pvalue)

@@ -11,6 +11,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 from compstruct.composition import (Composition, Partition,
                                     enumerate_compositions)
@@ -33,7 +34,7 @@ from compstruct.structural import (StructuralMoments, block_count_row,
 from compstruct.verify import (check_decrement_recursions,
                                check_right_consistency,
                                check_theorem_SL, check_uniform_consistency,
-                               chi_square_gof, ks_two_sample)
+                               chi_square_gof)
 
 C = Composition
 P_GATE = 1e-3
@@ -229,7 +230,7 @@ def test_criterion_10_meander_equals_tagged_gap():
     for i in range(half):
         a, b = ScaleInvariantSet(1.0, g).gap(1.0 - g.random())
         V[i] = b - a
-    _, p = ks_two_sample(A, V)
+    _, p = ks_2samp(A, V)
     # theta = 1 meander is Beta(1, 1): mean 1/2, second moment 1/3
     se1 = (1.0 / 12 / half) ** 0.5
     se2 = ((1.0 / 5 - 1.0 / 9) / half) ** 0.5

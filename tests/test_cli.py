@@ -415,6 +415,22 @@ class TestReconstructCommand:
         assert code == 0
         assert "# roundtrip ewens: pass" in out
 
+    @pytest.mark.parametrize("theta, code, verdict", [("1.0", 0, "pass"), ("0.5", 1, "FAIL")])
+    def test_float_roundtrip_compares_within_tolerance(self, capsys, tmp_path, theta, code,
+                                                       verdict):
+        # exact Ewens(1) moments against a float reference: equal within
+        # verify.FLOAT_TOL at theta = 1.0, a different law at theta = 0.5
+        from compstruct.laws import ewens_cpf
+        from compstruct.structural import structural_moments
+
+        mom = structural_moments(ewens_cpf(1), 6)
+        mf = tmp_path / "moments.txt"
+        mf.write_text("\n".join(tables.moments_lines([mom(n) for n in range(1, 7)])) + "\n")
+        got, out, _ = run(capsys, "reconstruct", "--moments", str(mf),
+                          "--roundtrip-family", "ewens", "--theta", theta)
+        assert got == code
+        assert f"# roundtrip ewens: {verdict}" in out
+
     def test_roundtrip_json(self, capsys, tmp_path):
         from compstruct.laws import ewens_cpf
         from compstruct.structural import structural_moments
@@ -610,15 +626,6 @@ class TestFragmentCommand:
         assert text_rows(out) == text_rows(ref)
 
 
-STOCHASTIC_EXPORTS = (
-    "RngStream", "arrange_partition", "batch_arrangements", "batch_ewens_strings",
-    "batch_markov_compositions", "batch_poisson_construction", "batch_renewal_strings",
-    "batch_uniform_construction", "codes_to_counts", "fragment_sample",
-    "poisson_sampling_composition", "sample_bernoulli_string", "sample_gem",
-    "sample_markov_composition", "sample_partition_batch", "sample_renewal_string",
-    "ScaleInvariantSet", "uniform_sampling_composition")
-
-
 class TestImportBoundary:
     """Only ``sample`` and ``arrange`` load numpy; the exact commands never do."""
 
@@ -642,9 +649,8 @@ class TestImportBoundary:
             (["check", *pair, "--n-max", "6", "--control", "regenerative"], (1,)),
             (["fragment", "--outer", "two-param", "--outer-alpha", alpha, "--outer-theta",
               theta, "--inner", "ewens", "--inner-theta", theta, "--n", "5"], (0,)),
-            # a float reference is compared bit for bit, so any verdict will do
             (["reconstruct", "--moments", str(mf), "--roundtrip-family", "ewens",
-              "--theta", theta], (0,) if theta == "1" else (0, 1)),
+              "--theta", theta], (0,)),
         ]
         run_without("numpy", "from compstruct.cli import main\n" + "".join(
             f"assert main({argv + ['--format', fmt]!r}) in {want!r}\n" for argv, want in runs))
@@ -662,8 +668,9 @@ class TestImportBoundary:
         run_fresh("import sys\n"
                   "import compstruct\n"
                   "assert 'compstruct.stochastic' not in sys.modules\n"
-                  f"for name in {STOCHASTIC_EXPORTS!r}:\n"
+                  "for name in compstruct._STOCHASTIC_NAMES:\n"
                   "    assert getattr(compstruct, name) is getattr(compstruct.stochastic, name)\n"
+                  "assert compstruct._STOCHASTIC_NAMES == set(compstruct.stochastic.__all__)\n"
                   "try:\n"
                   "    compstruct.no_such_name\n"
                   "except AttributeError as exc:\n"

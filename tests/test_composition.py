@@ -1,14 +1,11 @@
-"""Encodings, reductions and the uniform deletion kernel."""
-
-from fractions import Fraction
+"""Encodings, reductions and partitions."""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from compstruct.composition import (EMPTY, Composition, Partition,
                                     enumerate_compositions,
-                                    enumerate_partitions,
-                                    uniform_reduction_kernel)
+                                    enumerate_partitions)
 
 
 def compositions(max_n=9):
@@ -118,24 +115,3 @@ class TestBallDeletion:
     def test_position_out_of_range(self):
         with pytest.raises(ValueError):
             Composition((2, 1)).delete_ball(4)
-
-
-class TestUniformReductionKernel:
-    def test_kernel_21(self):
-        mu = Composition((2, 1))
-        assert uniform_reduction_kernel(mu, Composition((2,))) == Fraction(1, 3)
-        assert uniform_reduction_kernel(mu, Composition((1, 1))) == Fraction(2, 3)
-
-    def test_kernel_trivial(self):
-        assert uniform_reduction_kernel(Composition((2,)), Composition((1,))) == 1
-
-    def test_rows_sum_to_one(self):
-        for n in range(2, 10):
-            for mu in enumerate_compositions(n):
-                total = sum(uniform_reduction_kernel(mu, lam)
-                            for lam in enumerate_compositions(n - 1))
-                assert total == 1
-
-    def test_size_mismatch(self):
-        with pytest.raises(ValueError):
-            uniform_reduction_kernel(Composition((2,)), Composition((2,)))

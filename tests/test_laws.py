@@ -16,7 +16,7 @@ from compstruct.laws import (Cpf, DecrementMatrixPair, LevySpec, beta_meander,
                              stationary_pair, two_param_levy, two_param_q,
                              two_param_stationary_pair, upchain_transition)
 from compstruct.ratmath import binom, factorial, rising, rising_ratio
-from compstruct.stochastic import RngStream, codes_to_counts, sample_gem
+from compstruct.stochastic import RngStream, codes_to_counts, sample_partition_batch
 from compstruct.structural import reconstruct_markov, structural_moments
 from compstruct.verify import check_right_consistency
 
@@ -634,7 +634,8 @@ INF, NAN = float("inf"), float("nan")
     pytest.param(lambda: two_param_stationary_pair(0.5, INF), id="stationary_pair-inf"),
     pytest.param(lambda: two_param_levy(0.5, INF), id="two_param_levy-inf"),
     pytest.param(lambda: LevySpec(drift=1, alpha=F(1, 2), theta=1), id="levy-drift-and-tail"),
-    pytest.param(lambda: sample_gem(0.5, 1.0, -1, RngStream(1)), id="sample_gem-k<0"),
+    pytest.param(lambda: sample_partition_batch(0.5, 1.0, 0, 10, RngStream(1)),
+                 id="sample_partition_batch-n=0"),
     pytest.param(lambda: codes_to_counts([1], 0), id="codes_to_counts-n=0"),
     pytest.param(lambda: codes_to_counts([1], 64), id="codes_to_counts-n=64"),
 ])

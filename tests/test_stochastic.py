@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from scipy.stats import kstest
 
 from compstruct.composition import (Composition, Partition,
                                     enumerate_compositions,
@@ -15,24 +16,20 @@ from compstruct.laws import (Cpf, DecrementMatrix, DecrementMatrixPair,
                              potential_from_levy, two_param_q,
                              two_param_stationary_pair)
 from compstruct.stochastic import (RngStream, ScaleInvariantSet,
-                                   arrange_partition, batch_arrangements,
-                                   batch_ewens_strings,
+                                   batch_arrangements, batch_ewens_strings,
                                    batch_markov_compositions,
                                    batch_poisson_construction,
                                    batch_renewal_strings,
                                    batch_uniform_construction,
-                                   codes_to_counts, fragment_sample,
+                                   codes_to_counts,
                                    poisson_sampling_composition,
-                                   sample_bernoulli_string, sample_gem,
-                                   sample_markov_composition,
                                    sample_partition_batch,
-                                   sample_renewal_string,
                                    uniform_sampling_composition)
 from compstruct.stochastic import (_bits_to_codes, _ewens_hazard, _markov_hazard,
                                    _renewal_hazard)
 from compstruct.structural import (expected_num_parts, reconstruct_markov,
                                    structural_moments)
-from compstruct.verify import chi_square_gof, ks_against_cdf
+from compstruct.verify import chi_square_gof
 
 C = Composition
 P_GATE = 1e-3
@@ -74,26 +71,6 @@ class TestStringSamplers:
         pair = two_param_stationary_pair(F(1, 2), 1)
         codes = batch_markov_compositions(pair, 5, DRAWS, RngStream(3))
         assert gof_pvalue(codes, markov_cpf(pair), 5) > P_GATE
-
-    def test_per_draw_ops_match_batch_law(self):
-        # the scalar samplers target the same laws as the batch kernels
-        g = RngStream(4).generator()
-        counts = np.zeros(16)
-        idx = {c.code: i for i, c in enumerate(enumerate_compositions(5))}
-        for _ in range(8000):
-            counts[idx[sample_bernoulli_string(1.0, 5, g).code]] += 1
-        assert chi_square_gof(counts, ewens_cpf(1).float_probs(5))[1] > P_GATE
-
-        counts = np.zeros(16)
-        for _ in range(8000):
-            counts[idx[sample_renewal_string(0.5, 5, g).code]] += 1
-        assert chi_square_gof(counts, renewal_cpf(F(1, 2)).float_probs(5))[1] > P_GATE
-
-        pair = two_param_stationary_pair(F(1, 2), 1)
-        counts = np.zeros(16)
-        for _ in range(8000):
-            counts[idx[sample_markov_composition(pair, 5, g).code]] += 1
-        assert chi_square_gof(counts, markov_cpf(pair).float_probs(5))[1] > P_GATE
 
     def test_batch_determinism(self):
         a = batch_ewens_strings(1.0, 6, 500, RngStream(11))
@@ -144,8 +121,6 @@ class TestStringSamplers:
         pair = DecrementMatrixPair(q=q, qstar=q)
         with pytest.raises(ValueError, match="row 3"):
             batch_markov_compositions(pair, 5, 100, RngStream(1))
-        with pytest.raises(ValueError, match="row 3"):
-            sample_markov_composition(pair, 5, RngStream(1))
         # no draw at n = 2 can reach row 3
         assert batch_markov_compositions(pair, 2, 100, RngStream(1)).shape == (100,)
 
@@ -156,7 +131,7 @@ class TestStringSamplers:
         assert row is pair.q.float_row(3) and not row.flags.writeable
         assert row.tolist() == [float(v) for v in pair.q.row(3)]
         for _ in range(3):
-            sample_markov_composition(pair, 6, RngStream(3))
+            batch_markov_compositions(pair, 6, 1, RngStream(3))
         # cached rows draw the same stream as a fresh matrix
         assert np.array_equal(batch_markov_compositions(pair, 6, 500, RngStream(2)), first)
         fresh = two_param_stationary_pair(F(1, 2), 1)
@@ -239,22 +214,6 @@ class TestGrowthKernel:
         control = DecrementMatrixPair(q=q, qstar=q)
         with pytest.raises(ValueError, match="not right-consistent"):
             batch_markov_compositions(control, 8, 100, RngStream(1))
-        with pytest.raises(ValueError, match="not right-consistent"):
-            sample_markov_composition(control, 8, RngStream(1))
-
-
-class TestGem:
-    def test_moments(self):
-        g = RngStream(8).generator()
-        w = np.array([sample_gem(0.5, 1.0, 2, g)[0] for _ in range(20000)])
-        # W_1 ~ Beta(1 - alpha, theta + alpha)
-        assert w.mean() == pytest.approx(0.5 / 2.0, abs=0.01)
-        assert (w > 0).all() and (w < 1).all()
-
-    def test_sticks_decay(self):
-        g = RngStream(8).generator()
-        sticks = sample_gem(0.5, 1.0, 50, g)
-        assert sum(sticks) < 1.0
 
 
 class TestScaleInvariantConstructions:
@@ -264,7 +223,7 @@ class TestScaleInvariantConstructions:
         lengths = np.array([1.0 - ScaleInvariantSet(theta, rng).gap(1.0)[0]
                             for _ in range(20000)])
         # A ~ Beta(1, theta): cdf 1 - (1-x)^theta
-        stat, p = ks_against_cdf(lengths, lambda x: 1 - (1 - x) ** theta)
+        stat, p = kstest(lengths, lambda x: 1 - (1 - x) ** theta)
         assert p > P_GATE
 
     def test_uniform_sampling_law(self):
@@ -456,17 +415,19 @@ class TestFragmentation:
 
     def test_sampler_matches_cpf(self):
         frag = fragment_cpf(ewens_pair(1), renewal_cpf(F(1, 2), reversed_=True))
-        rn = renewal_cpf(F(1, 2))
-        g = RngStream(31).generator()
-
-        def inner(r):
-            return sample_renewal_string(0.5, r, g).reverse()
-
-        idx = {c.code: i for i, c in enumerate(enumerate_compositions(5))}
-        counts = np.zeros(16)
-        for _ in range(20000):
-            outer = sample_bernoulli_string(1.0, 5, g)
-            counts[idx[fragment_sample(outer, inner).code]] += 1
+        draws = 20000
+        outer = batch_ewens_strings(1.0, 5, draws, RngStream(31))
+        # one independent renewal row per part slot; the top r digits of a
+        # row are a draw at r, reversed for the reversed renewal law
+        inner = np.stack([batch_renewal_strings(0.5, 5, draws, RngStream(31, slot))
+                          for slot in range(1, 6)], axis=1)
+        codes = []
+        for code, row in zip(outer.tolist(), inner.tolist()):
+            parts = ()
+            for r, icode in zip(Composition.from_code(code, 5).parts, row):
+                parts += Composition.from_code(icode >> (5 - r), r).reverse().parts
+            codes.append(Composition(parts).code)
+        counts = codes_to_counts(np.array(codes), 5)
         assert chi_square_gof(counts, frag.float_probs(5))[1] > P_GATE
 
     def test_product_is_uniform_consistent_but_not_right_consistent(self):
@@ -564,8 +525,6 @@ class TestArrangement:
         with pytest.raises(ValueError):
             batch_arrangements(parts, 4, alpha, theta, RngStream(1))
         with pytest.raises(ValueError):
-            arrange_partition(Partition((2, 1, 1)), alpha, theta, RngStream(1))
-        with pytest.raises(ValueError):
             sample_partition_batch(alpha, theta, 4, 10, RngStream(1))
 
     def test_rejects_rows_that_are_not_partitions_of_n(self):
@@ -575,16 +534,20 @@ class TestArrangement:
             batch_arrangements(np.array([[4, -1]]), 3, 0.5, 0.5, RngStream(1))
 
     def test_per_draw_op(self):
-        g = RngStream(45).generator()
-        lam = Partition((2, 1))
-        seen = {arrange_partition(lam, F(1, 2), F(1, 2), g).parts
-                for _ in range(200)}
+        parts = np.tile(np.array([2, 1], dtype=np.int64), (200, 1))
+        codes = batch_arrangements(parts, 3, F(1, 2), F(1, 2), RngStream(45))
+        seen = {Composition.from_code(int(c), 3).parts for c in codes}
         assert seen <= {(2, 1), (1, 2)}
         assert len(seen) == 2
 
     def test_partition_batch_at_n12(self):
         parts = sample_partition_batch(F(1, 3), F(2, 3), 12, 500, RngStream(48))
         assert parts.shape[0] == 500 and (parts.sum(axis=1) == 12).all()
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_partition_batch_rejects_n_below_one(self, n):
+        with pytest.raises(ValueError, match=f"n must be >= 1, got {n}"):
+            sample_partition_batch(F(1, 2), F(1, 2), n, 10, RngStream(1))
 
     def test_partition_batch_law(self):
         a = F(1, 2)

@@ -17,8 +17,7 @@ from compstruct.laws import (DecrementMatrix, DecrementMatrixPair, ewens_cpf,
 from compstruct.verify import (check_decrement_recursions,
                                check_left_consistency,
                                check_right_consistency, check_theorem_SL,
-                               check_uniform_consistency, chi_square_gof,
-                               ks_against_cdf, ks_two_sample)
+                               check_uniform_consistency, chi_square_gof)
 
 C = Composition
 
@@ -200,32 +199,3 @@ class TestChiSquare:
                    PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
-
-class TestKs:
-    def test_two_sample_same_law(self):
-        rng = np.random.default_rng(9)
-        xs = rng.beta(2.0, 3.0, size=5000)
-        ys = rng.beta(2.0, 3.0, size=5000)
-        _, p = ks_two_sample(xs, ys)
-        assert p > 1e-3
-
-    def test_two_sample_power(self):
-        rng = np.random.default_rng(10)
-        xs = rng.beta(2.0, 3.0, size=5000)
-        ys = rng.beta(3.0, 2.0, size=5000)
-        _, p = ks_two_sample(xs, ys)
-        assert p < 1e-6
-
-    def test_against_cdf(self):
-        rng = np.random.default_rng(11)
-        xs = rng.uniform(size=5000)
-        _, p = ks_against_cdf(xs, lambda x: np.clip(x, 0.0, 1.0))
-        assert p > 1e-3
-        _, p_bad = ks_against_cdf(xs ** 2, lambda x: np.clip(x, 0.0, 1.0))
-        assert p_bad < 1e-6
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            ks_two_sample([], [1.0])
-        with pytest.raises(ValueError):
-            ks_against_cdf([], lambda x: x)
