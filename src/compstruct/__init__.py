@@ -9,20 +9,18 @@ from .composition import (EMPTY, MAX_ENUM_N, Composition, Partition,
                           enumerate_compositions, enumerate_partitions)
 from .laws import (Cpf, DecrementMatrix, DecrementMatrixPair, LevySpec,
                    MeanderLaw, beta_meander, ewens_cpf, fragment_cpf,
-                   levy_binomial, levy_exponent, markov_cpf,
-                   meander_moments, partition_law, polya_q,
-                   potential_from_levy, pure_drift_meander, renewal_cpf,
-                   sibi_cpf, stationary_pair, two_param_levy, two_param_q,
-                   two_param_stationary_pair, upchain_transition)
+                   levy_exponent, markov_cpf, meander_moments, partition_law,
+                   polya_q, potential_from_levy, renewal_cpf, sibi_cpf,
+                   two_param_levy, two_param_q, two_param_stationary_pair,
+                   upchain_transition)
 from .structural import (ReconstructionError, StructuralMoments,
                          block_count_row, deletion_law, expected_num_parts,
                          last_part_law, potential_from_cpf, reconstruct_markov,
                          size_biased_part_law, structural_density_check,
                          structural_moments)
 from .verify import (CheckReport, check_decrement_recursions,
-                     check_left_consistency, check_right_consistency,
-                     check_theorem_SL, check_uniform_consistency,
-                     chi_square_gof)
+                     check_right_consistency, check_theorem_SL,
+                     check_uniform_consistency, chi_square_gof)
 
 __version__ = "0.1.0"
 

@@ -2,8 +2,9 @@
 
 Each composition probability function (CPF) is the product formula of a
 decrement-matrix pair (q, q*): Bernoulli strings (Ewens), reversed and forward
-discrete renewal, and the two-parameter self-similar Markov family.  The
-decrement-matrix calculus connects the pairs to Levy data of regenerative sets.
+discrete renewal, and the two-parameter self-similar Markov family.  Each
+stationary pair has one construction, the closed form of its family; the Levy
+exponent and the potential it determines read the same (alpha, theta) data.
 
 Every closed form here is a ratio of rising factorials, evaluated by
 ``ratmath.rising_ratio``: with Fraction-valued parameters all identities can
@@ -41,11 +42,8 @@ __all__ = [
     "two_param_q",
     "two_param_levy",
     "beta_meander",
-    "pure_drift_meander",
     "levy_exponent",
-    "levy_binomial",
     "meander_moments",
-    "stationary_pair",
     "two_param_stationary_pair",
     "potential_from_levy",
     "upchain_transition",
@@ -330,17 +328,6 @@ def levy_exponent(spec: LevySpec, s):
     return s * _exponent_slope(spec, s)
 
 
-def levy_binomial(spec: LevySpec, n: int, m: int):
-    """Phi(n:m) = C(n,m) sum_{j=0}^m (-1)^(j+1) C(m,j) Phi(n-m+j)."""
-    if not 1 <= m <= n:
-        raise ValueError(f"need 1 <= m <= n, got (n={n}, m={m})")
-    total = 0
-    for j in range(m + 1):
-        term = binom(m, j) * levy_exponent(spec, n - m + j)
-        total = total + (term if (j + 1) % 2 == 0 else -term)
-    return binom(n, m) * total
-
-
 # ---------------------------------------------------------------------------
 # Meander laws (the stationary-delay distribution A_1 = 1 - exp(-X))
 
@@ -349,14 +336,12 @@ def levy_binomial(spec: LevySpec, n: int, m: int):
 class MeanderLaw:
     """Law of the meander length A_1, given by its joint moments.
 
-    ``moment(a, b)`` returns E[A_1^a (1-A_1)^b]; ``atom`` is P(A_1 = 0);
-    ``density`` (optional, float) is the density of the absolutely continuous
-    part on (0, 1].
+    ``moment(a, b)`` returns E[A_1^a (1-A_1)^b]; ``density`` is its float
+    density on (0, 1).
     """
 
     moment: Callable[[int, int], object]
-    atom: object = 0
-    density: Optional[Callable[[float], float]] = None
+    density: Callable[[float], float]
     label: str = ""
 
 
@@ -377,17 +362,8 @@ def beta_meander(alpha, theta) -> MeanderLaw:
     def density(x):
         return x ** (-a) * (1.0 - x) ** (t - 1.0) * inv_beta
 
-    return MeanderLaw(moment=moment, atom=0, density=density,
+    return MeanderLaw(moment=moment, density=density,
                       label=f"beta({1 - alpha},{theta})")
-
-
-def pure_drift_meander() -> MeanderLaw:
-    """Degenerate meander A_1 = 0 (heavy set driven by drift alone)."""
-
-    def moment(a, b):
-        return Fraction(1) if a == 0 else Fraction(0)
-
-    return MeanderLaw(moment=moment, atom=1, density=None, label="drift-atom")
 
 
 def meander_moments(law: MeanderLaw, n: int, m: int):
@@ -406,26 +382,19 @@ def meander_moments(law: MeanderLaw, n: int, m: int):
 # Stationary pairs and potentials
 
 
-def stationary_pair(spec: LevySpec, law: MeanderLaw) -> DecrementMatrixPair:
-    """Decrement matrices q(n:m) = Phi(n:m)/Phi(n), q* = Psi(n:0) q + Psi(n:m).
+def two_param_stationary_pair(alpha, theta) -> DecrementMatrixPair:
+    """Stationary pair of the (alpha, theta) family, exact for rational params.
 
-    The meander law must be the stationary delay of ``spec``; this is checked
-    through the potential identity E(1-A_1) = Phi(1)/(d+m).  The alternating
-    Levy-binomial sums cancel in float mode (a float q row sums to 75.6 at
-    n = 40), so this path is an exact oracle; the two-parameter family has
-    the closed form ``two_param_stationary_pair``.
+    q is the closed-form regenerative matrix ``two_param_q`` (Gnedin and
+    Pitman, Regenerative composition structures, Ann. Probab. 33, 2005) and
+    q*(n:m) = Psi(n:0) q(n:m) + Psi(n:m) comes from it through the moments
+    Psi of the Beta(1-alpha, theta) meander.  Every term is positive, so
+    float rows sum to 1 within about 1e-12 up to n = 1000 (past n = 1029 a
+    float q* row raises ``ValueError``); the alternating Levy-binomial sum
+    of the same data, which cancels in floats, is a test oracle.
     """
-    _check_stationary_consistency(spec, law)
-
-    def q_fn(n, m):
-        return levy_binomial(spec, n, m) / levy_exponent(spec, n)
-
-    q = DecrementMatrix(f"q[{spec.label or 'levy'}]", q_fn)
-    return _meander_pair(q, law, spec.label)
-
-
-def _meander_pair(q: DecrementMatrix, law: MeanderLaw, label: str) -> DecrementMatrixPair:
-    """Pair (q, q*) with q*(n:m) = Psi(n:0) q(n:m) + Psi(n:m)."""
+    law = beta_meander(alpha, theta)  # first: its range error is two_param_levy's
+    q = two_param_q(alpha, theta)
     psi0 = {}  # Psi(n:0), shared by the n entries of q* row n
 
     def qstar_fn(n, m):
@@ -433,31 +402,8 @@ def _meander_pair(q: DecrementMatrix, law: MeanderLaw, label: str) -> DecrementM
             psi0[n] = meander_moments(law, n, 0)
         return psi0[n] * q(n, m) + meander_moments(law, n, m)
 
-    qstar = DecrementMatrix(f"q*[{law.label or 'meander'}]", qstar_fn)
-    return DecrementMatrixPair(q=q, qstar=qstar, label=f"stationary[{label}]")
-
-
-def _check_stationary_consistency(spec: LevySpec, law: MeanderLaw):
-    """E(1-A_1) must equal g(2) = Phi(1)/(d+m), exactly or within 1e-9."""
-    lhs, rhs = law.moment(0, 1), potential_from_levy(spec, 2)
-    if lhs != rhs if is_exact(lhs, rhs) else abs(float(lhs) - float(rhs)) > 1e-9:
-        raise ValueError(f"meander law inconsistent with Levy data: "
-                         f"E(1-A_1) = {lhs} but Phi(1)/(d+m) = {rhs}")
-
-
-def two_param_stationary_pair(alpha, theta) -> DecrementMatrixPair:
-    """Stationary pair of the (alpha, theta) family, exact for rational params.
-
-    q is the closed-form regenerative matrix ``two_param_q`` (Gnedin and
-    Pitman, Regenerative composition structures, Ann. Probab. 33, 2005) and
-    q* comes from it through the Beta(1-alpha, theta) meander.  Equal to
-    ``stationary_pair(two_param_levy(alpha, theta), beta_meander(alpha,
-    theta))`` without the alternating Levy-binomial sums, whose float values
-    cancel as n grows; float rows sum to 1 within about 1e-12 up to n = 1000
-    (past n = 1029 a float q* row raises ``ValueError``).
-    """
-    law = beta_meander(alpha, theta)  # first: its range error is two_param_levy's
-    return _meander_pair(two_param_q(alpha, theta), law, f"two-param({alpha},{theta})")
+    return DecrementMatrixPair(q=q, qstar=DecrementMatrix(f"q*[{law.label}]", qstar_fn),
+                               label=f"stationary[two-param({alpha},{theta})]")
 
 
 def potential_from_levy(spec: LevySpec, j: int):

@@ -27,7 +27,7 @@ from typing import List
 import numpy as np
 
 from .composition import Composition, enumerate_partitions
-from .laws import DecrementMatrixPair, _check_alpha_theta, partition_law
+from .laws import DecrementMatrixPair, _check_alpha_theta, _check_params, partition_law
 
 __all__ = [
     "RngStream",
@@ -151,8 +151,7 @@ def _check_size(n, draws):
 
 
 def _check_theta(theta):
-    if not theta > 0:
-        raise ValueError(f"theta must be positive, got {theta}")
+    _check_params(theta > 0, "theta must be positive", theta)
 
 
 def _bits_to_codes(bits):
@@ -196,8 +195,7 @@ def _ewens_hazard(theta):
 def _renewal_hazard(alpha):
     # h = alpha/r = P(X = r)/P(X >= r), the hazard of the Sibuya spacing
     # P(X = r) = alpha (1-alpha)_{r-1} / r!
-    if not 0 < alpha < 1:
-        raise ValueError(f"alpha must be in (0,1), got {alpha}")
+    _check_params(0 < alpha < 1, "alpha must be in (0,1)", alpha)
     alpha = float(alpha)
     return lambda n: alpha / np.arange(1, n)
 

@@ -6,8 +6,9 @@ read off a CPF at the one-part composition, and drive expected block counts,
 deletion-size laws, potential functions, and the reconstruction of a
 self-similar Markov CPF from its moments alone.
 
-All alternating binomial sums run in exact rationals when the inputs are;
-these sums cancel catastrophically in floats.
+Block counts and potentials read the moments through one alternating
+binomial sum, ``_mixed_moment``; it runs in exact rationals when the inputs
+are, and cancels catastrophically in floats.
 """
 
 from __future__ import annotations
@@ -63,18 +64,20 @@ def structural_moments(cpf: Cpf, N: int) -> StructuralMoments:
     return StructuralMoments(tuple(cpf(Composition((n,))) for n in range(1, N + 1)))
 
 
+def _mixed_moment(moments: StructuralMoments, a: int, b: int):
+    """E[V^a (1-V)^b] = sum_j (-1)^j C(b,j) p(a+j+1), the one alternating sum."""
+    total = 0
+    for j in range(b + 1):
+        term = binom(b, j) * moments(a + j + 1)
+        total = total + (term if j % 2 == 0 else -term)
+    return total
+
+
 def block_count_row(moments: StructuralMoments, n: int) -> list:
     """mu_{n,r} = E K_{n,r} = C(n,r) E[V^(r-1) (1-V)^(n-r)], r = 1..n."""
     if n > moments.max_n:
         raise ValueError(f"need moments up to p({n})")
-    row = []
-    for r in range(1, n + 1):
-        total = 0
-        for j in range(n - r + 1):
-            term = binom(n - r, j) * moments(r + j)
-            total = total + (term if j % 2 == 0 else -term)
-        row.append(binom(n, r) * total)
-    return row
+    return [binom(n, r) * _mixed_moment(moments, r - 1, n - r) for r in range(1, n + 1)]
 
 
 def expected_num_parts(moments: StructuralMoments, n: int):
@@ -86,11 +89,7 @@ def potential_from_cpf(moments: StructuralMoments, j: int):
     """g(j) = E (1-V)^(j-1), expanded in the structural moments."""
     if j > moments.max_n:
         raise ValueError(f"need moments up to p({j})")
-    total = 0
-    for i in range(j):
-        term = binom(j - 1, i) * moments(i + 1)
-        total = total + (term if i % 2 == 0 else -term)
-    return total
+    return _mixed_moment(moments, 0, j - 1)
 
 
 def deletion_law(mu_row_n: Sequence, mu_row_prev: Sequence) -> list:
@@ -214,14 +213,7 @@ DENSITY_MASS_TOL = 1e-9
 
 
 def structural_density_check(law: MeanderLaw) -> DensityCheckReport:
-    """Check the structural-law shape: (1-x) phi(x) nonincreasing, mass 1.
-
-    A law with no density part (pure atom) passes trivially.
-    """
-    atom = float(law.atom)
-    if law.density is None:
-        return DensityCheckReport(True, abs(atom - 1.0) < DENSITY_MASS_TOL, atom, 0.0)
-
+    """Check the structural-law shape: (1-x) phi(x) nonincreasing, mass 1."""
     xs = [(k + 0.5) / DENSITY_GRID for k in range(DENSITY_GRID)]
     vals = [(1.0 - x) * law.density(x) for x in xs]
     worst = 0.0
@@ -232,5 +224,4 @@ def structural_density_check(law: MeanderLaw) -> DensityCheckReport:
     from scipy.integrate import quad
 
     mass, _ = quad(law.density, 0.0, 1.0, epsabs=1e-12, epsrel=1e-12, limit=200)
-    total = atom + mass
-    return DensityCheckReport(monotone, abs(total - 1.0) < DENSITY_MASS_TOL, total, worst)
+    return DensityCheckReport(monotone, abs(mass - 1.0) < DENSITY_MASS_TOL, mass, worst)

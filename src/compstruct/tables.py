@@ -74,8 +74,12 @@ def moments_lines(values) -> list:
 
 
 def parse_moments(text: str) -> list:
-    """Read 'index<TAB>value' lines (or bare values, one per line)."""
-    out = {}
+    """Read 'index<TAB>value' lines (or bare values, one per line).
+
+    The indices must be 1..N, each once, in any order; a repeated index or
+    a gap is a ValueError naming its line.
+    """
+    out, lines = {}, {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -83,11 +87,18 @@ def parse_moments(text: str) -> list:
         toks = line.split()
         try:
             if len(toks) == 1:
-                out[len(out) + 1] = parse_value(toks[0])
+                i, value = len(out) + 1, parse_value(toks[0])
             else:
-                out[int(toks[0])] = parse_value(toks[1])
+                i, value = int(toks[0]), parse_value(toks[1])
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"line {lineno}: bad moment line {line!r}") from None
+        if i in out:
+            raise ValueError(f"line {lineno}: moment index {i} repeats line {lines[i]}")
+        out[i], lines[i] = value, lineno
+    for k, i in enumerate(sorted(out), start=1):
+        if i != k:
+            raise ValueError(f"line {lines[i]}: moment index {i}, expected {k} "
+                             f"(indices run 1..N without gaps)")
     return [out[i] for i in sorted(out)]
 
 

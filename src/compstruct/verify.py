@@ -19,7 +19,6 @@ from .structural import last_part_law, size_biased_part_law, structural_moments
 __all__ = [
     "CheckReport",
     "check_right_consistency",
-    "check_left_consistency",
     "check_uniform_consistency",
     "check_decrement_recursions",
     "check_theorem_SL",
@@ -73,20 +72,6 @@ def check_right_consistency(cpf: Cpf, n_max: int) -> CheckReport:
                 yield c, cpf(c), cpf(grown) + cpf(appended)
 
     return _run_identity("right-consistency", f"{cpf.name}, n<{n_max}", pairs(),
-                         _cpf_is_exact(cpf))
-
-
-def check_left_consistency(cpf: Cpf, n_max: int) -> CheckReport:
-    """p(lam) = p(lam_1 + 1, ..) + p(1, lam_1, ..) for all |lam| < n_max."""
-
-    def pairs():
-        for n in range(1, n_max):
-            for c in enumerate_compositions(n):
-                grown = Composition((c.parts[0] + 1,) + c.parts[1:])
-                prepended = Composition((1,) + c.parts)
-                yield c, cpf(c), cpf(grown) + cpf(prepended)
-
-    return _run_identity("left-consistency", f"{cpf.name}, n<{n_max}", pairs(),
                          _cpf_is_exact(cpf))
 
 

@@ -16,7 +16,7 @@ from scipy.stats import ks_2samp
 from compstruct.composition import (Composition, Partition,
                                     enumerate_compositions)
 from compstruct.laws import (DecrementMatrixPair, ewens_cpf, ewens_pair,
-                             fragment_cpf, levy_binomial, levy_exponent,
+                             fragment_cpf, levy_exponent,
                              markov_cpf,
                              polya_q, potential_from_levy, renewal_cpf,
                              two_param_levy, two_param_q,
@@ -35,6 +35,7 @@ from compstruct.verify import (check_decrement_recursions,
                                check_right_consistency,
                                check_theorem_SL, check_uniform_consistency,
                                chi_square_gof)
+from levy_oracle import levy_binomial
 
 C = Composition
 P_GATE = 1e-3

@@ -486,6 +486,21 @@ class TestReconstructCommand:
         assert (code, out) == (2, "")
         assert err == f"error: {mf}: line 2: bad moment line 'abc'\n"
 
+    def test_moment_index_gap_exit2(self, capsys, tmp_path):
+        # p(3) is not given: the file must not be read as p(1..3)
+        mf = tmp_path / "moments.txt"
+        mf.write_text("1\t1/1\n2\t1/2\n4\t1/4\n")
+        code, out, err = run(capsys, "reconstruct", "--moments", str(mf))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {mf}: line 3: moment index 4, expected 3")
+
+    def test_repeated_moment_index_exit2(self, capsys, tmp_path):
+        mf = tmp_path / "moments.txt"
+        mf.write_text("1\t1/1\n2\t1/2\n2\t1/3\n3\t1/4\n")
+        code, out, err = run(capsys, "reconstruct", "--moments", str(mf))
+        assert (code, out) == (2, "")
+        assert err == f"error: {mf}: line 3: moment index 2 repeats line 2\n"
+
     def test_missing_moments_file_exit2(self, capsys, tmp_path):
         code, out, err = run(capsys, "reconstruct", "--moments",
                              str(tmp_path / "absent.txt"))

@@ -9,16 +9,20 @@ from hypothesis import example, given, settings, strategies as st
 
 from compstruct.composition import Composition, Partition, enumerate_compositions
 from compstruct.laws import (Cpf, DecrementMatrixPair, LevySpec, beta_meander,
-                             ewens_cpf, ewens_pair, levy_binomial, levy_exponent,
+                             ewens_cpf, ewens_pair, levy_exponent,
                              markov_cpf, meander_moments,
                              partition_law, polya_q, potential_from_levy,
-                             pure_drift_meander, renewal_cpf, renewal_pair, sibi_cpf,
-                             stationary_pair, two_param_levy, two_param_q,
+                             renewal_cpf, renewal_pair, sibi_cpf,
+                             two_param_levy, two_param_q,
                              two_param_stationary_pair, upchain_transition)
 from compstruct.ratmath import binom, factorial, rising, rising_ratio
-from compstruct.stochastic import RngStream, codes_to_counts, sample_partition_batch
+from compstruct.stochastic import (RngStream, ScaleInvariantSet, batch_ewens_strings,
+                                   batch_poisson_construction, batch_renewal_strings,
+                                   batch_uniform_construction, codes_to_counts,
+                                   sample_partition_batch)
 from compstruct.structural import reconstruct_markov, structural_moments
 from compstruct.verify import check_right_consistency
+from levy_oracle import levy_binomial, levy_stationary_pair
 
 C = Composition
 
@@ -318,11 +322,6 @@ class TestMeander:
         for n in range(1, 9):
             assert sum(meander_moments(law, n, m) for m in range(n + 1)) == 1
 
-    def test_pure_drift_meander(self):
-        law = pure_drift_meander()
-        assert meander_moments(law, 4, 0) == 1
-        assert meander_moments(law, 4, 2) == 0
-
 
 class TestStationaryPair:
     def test_qstar_is_polya_shifted(self):
@@ -338,12 +337,6 @@ class TestStationaryPair:
         for n in range(1, 11):
             assert sum(pair.q(n, r) for r in range(1, n + 1)) == 1
             assert sum(pair.qstar(n, r) for r in range(1, n + 1)) == 1
-
-    def test_inconsistent_meander_rejected(self):
-        spec = two_param_levy(F(1, 2), 1)
-        wrong = beta_meander(F(1, 3), 1)  # meander from another family
-        with pytest.raises(ValueError):
-            stationary_pair(spec, wrong)
 
     @pytest.mark.parametrize("a, t", [(0.5, 1.0), (1 / 3, 2 / 3)])
     def test_float_rows_sum_to_one(self, a, t):
@@ -534,7 +527,7 @@ def test_eppf_equals_sibi_permutation_sum_property(params):
 def test_closed_form_pair_equals_levy_sum_property(params):
     a, t = params
     closed = two_param_stationary_pair(a, t)
-    levy = stationary_pair(two_param_levy(a, t), beta_meander(a, t))
+    levy = levy_stationary_pair(two_param_levy(a, t))
     for n in range(1, 11):
         for m in range(1, n + 1):
             assert closed.q(n, m) == levy.q(n, m)
@@ -638,6 +631,14 @@ INF, NAN = float("inf"), float("nan")
                  id="sample_partition_batch-n=0"),
     pytest.param(lambda: codes_to_counts([1], 0), id="codes_to_counts-n=0"),
     pytest.param(lambda: codes_to_counts([1], 64), id="codes_to_counts-n=64"),
+    # only constructed: with theta = inf, gap() would never return
+    *(pytest.param(lambda bad=bad: ScaleInvariantSet(bad, RngStream(1)),
+                   id=f"ScaleInvariantSet-{bad}") for bad in (INF, NAN)),
+    *(pytest.param(lambda batch=batch, bad=bad: batch(bad, 5, 10, RngStream(1)),
+                   id=f"{batch.__name__}-{bad}")
+      for batch in (batch_ewens_strings, batch_renewal_strings,
+                    batch_uniform_construction, batch_poisson_construction)
+      for bad in (INF, NAN)),
 ])
 def test_entry_points_reject_bad_parameters(call):
     with pytest.raises(ValueError):

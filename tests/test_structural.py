@@ -215,7 +215,7 @@ class TestDensityCheck:
         # phi(x) = 2x makes (1-x) phi(x) non-monotone on (0,1)
         from compstruct.laws import MeanderLaw
 
-        bad = MeanderLaw(moment=lambda a, b: None, atom=0,
-                         density=lambda x: 2.0 * x, label="linear")
+        bad = MeanderLaw(moment=lambda a, b: None, density=lambda x: 2.0 * x,
+                         label="linear")
         report = structural_density_check(bad)
         assert not report.passed

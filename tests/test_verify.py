@@ -11,15 +11,19 @@ from hypothesis import example, given, settings, strategies as st
 
 import compstruct
 from compstruct.composition import Composition
-from compstruct.laws import (DecrementMatrix, DecrementMatrixPair, ewens_cpf,
+from compstruct.laws import (Cpf, DecrementMatrix, DecrementMatrixPair, ewens_cpf,
                              markov_cpf, renewal_cpf, two_param_q,
                              two_param_stationary_pair)
 from compstruct.verify import (check_decrement_recursions,
-                               check_left_consistency,
                                check_right_consistency, check_theorem_SL,
                                check_uniform_consistency, chi_square_gof)
 
 C = Composition
+
+
+def check_left_consistency(cpf, n_max):
+    """p(lam) = p(lam_1 + 1, ..) + p(1, lam_1, ..): right consistency of the reversed law."""
+    return check_right_consistency(Cpf(cpf.name, lambda c: cpf(c.reverse())), n_max)
 
 
 class TestExactCheckers:
