@@ -20,9 +20,9 @@ from . import tables
 from .composition import MAX_ENUM_N, Partition, enumerate_compositions
 from .laws import (Cpf, DecrementMatrix, DecrementMatrixPair, ewens_pair, fragment_cpf,
                    markov_cpf, renewal_pair, two_param_stationary_pair)
-from .ratmath import is_exact, parse_scalar
+from .ratmath import close, parse_scalar
 from .structural import ReconstructionError, reconstruct_markov, StructuralMoments
-from .verify import (FLOAT_TOL, check_decrement_recursions, check_right_consistency,
+from .verify import (check_decrement_recursions, check_right_consistency,
                      check_theorem_SL, check_uniform_consistency)
 
 EXIT_OK = 0
@@ -225,10 +225,8 @@ def cmd_reconstruct(args):
     if args.roundtrip_family:
         ref = build_cpf(args.roundtrip_family, _scalar(args.alpha), _scalar(args.theta),
                         args.matrix_file)
-        # exact when both sides are exact, else within the float checks' tolerance
-        pairs = ((cpf(c), ref(c)) for m in range(1, table_n + 1)
+        ok = all(close(cpf(c), ref(c)) for m in range(1, table_n + 1)
                  for c in enumerate_compositions(m))
-        ok = all(abs(a - b) <= (0 if is_exact(a, b) else FLOAT_TOL) for a, b in pairs)
 
     def lines():
         out = (["# q"] + [f"q\t{ln}" for ln in tables.matrix_lines(pair.q, N)]

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .composition import Composition, Partition, enumerate_compositions
-from .ratmath import binom, factorial, is_exact, rising_ratio
+from .ratmath import FLOAT_TOL, binom, factorial, is_exact, rising_ratio
 
 __all__ = [
     "Cpf",
@@ -114,7 +114,7 @@ class DecrementMatrix:
         """Float row n, checked to be a law once and then cached.
 
         A row with a negative or NaN entry, or whose left-to-right sum is off
-        1 by more than 1e-9, raises ValueError on every use.  The array is
+        1 by more than ``FLOAT_TOL``, raises ValueError on every use.  The array is
         read-only.
         """
         row = self._floats.get(n)
@@ -123,7 +123,7 @@ class DecrementMatrix:
 
             row = np.array([float(v) for v in self.row(n)])
             total = np.cumsum(row)[-1]  # sequential, not numpy's pairwise sum
-            if not (row >= 0).all() or not abs(total - 1.0) <= 1e-9:
+            if not (row >= 0).all() or not abs(total - 1.0) <= FLOAT_TOL:
                 raise ValueError(f"{self.name} row {n} is not a probability vector: "
                                  f"min = {row.min()}, sum = {total}")
             row.flags.writeable = False
@@ -275,9 +275,9 @@ class LevySpec:
     """Drift d or closed-form tail x -> nu~[x,1] of a Levy measure on (0,1].
 
     ``alpha``/``theta`` mark the tail x^(-alpha) (1-x)^theta; without them
-    the spec is pure drift.  A spec with both a drift and a tail is refused.
-    Rational data evaluate exactly (an int drift is stored as a Fraction),
-    floats in float mode.
+    the spec is pure drift.  A spec with both a drift and a tail, or with a
+    negative or non-finite drift, is refused.  Rational data evaluate exactly
+    (an int drift is stored as a Fraction), floats in float mode.
     """
 
     drift: object = 0
@@ -286,6 +286,7 @@ class LevySpec:
     label: str = ""
 
     def __post_init__(self):
+        _check_params(self.drift >= 0, "the drift must be >= 0", self.drift)
         if self.is_two_param and self.drift != 0:
             raise ValueError(f"a Levy spec has a drift or a tail, not both: "
                              f"drift = {self.drift}, tail ({self.alpha}, {self.theta})")

@@ -4,7 +4,8 @@ A Scalar is either a fractions.Fraction (exact mode) or a float.  A whole
 computation runs in one mode: exact whenever every parameter is rational,
 float as soon as any input is a float.  ``rising_ratio`` evaluates the
 closed forms of the laws in either mode: an exact integer ratio, or a float
-computed in log space so that no rising factorial overflows.
+computed in log space so that no rising factorial overflows.  ``close`` is
+the equality rule of every check, decided per pair of values.
 """
 
 from __future__ import annotations
@@ -14,9 +15,19 @@ from fractions import Fraction
 
 Scalar = object  # Fraction | float; kept loose on purpose
 
+#: Absolute tolerance of ``close`` when either value is a float.
+FLOAT_TOL = 1e-9
+
 
 def is_exact(*values) -> bool:
     return all(isinstance(v, (int, Fraction)) for v in values)
+
+
+def close(a, b) -> bool:
+    """a == b when both values are rational, else |a - b| <= FLOAT_TOL."""
+    if is_exact(a, b):
+        return a == b
+    return abs(a - b) <= FLOAT_TOL
 
 
 def parse_scalar(text: str):

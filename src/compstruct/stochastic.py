@@ -28,6 +28,7 @@ import numpy as np
 
 from .composition import Composition, enumerate_partitions
 from .laws import DecrementMatrixPair, _check_alpha_theta, _check_params, partition_law
+from .ratmath import FLOAT_TOL
 
 __all__ = [
     "RngStream",
@@ -185,19 +186,15 @@ def _growth_codes(hazard, n, draws, g):
     return codes
 
 
-def _ewens_hazard(theta):
-    # h = theta/(m+theta): each digit is an independent Bernoulli
-    _check_theta(theta)
-    theta = float(theta)
-    return lambda n: theta / (np.arange(1, n)[:, None] + theta)
-
-
-def _renewal_hazard(alpha):
-    # h = alpha/r = P(X = r)/P(X >= r), the hazard of the Sibuya spacing
-    # P(X = r) = alpha (1-alpha)_{r-1} / r!
-    _check_params(0 < alpha < 1, "alpha must be in (0,1)", alpha)
-    alpha = float(alpha)
-    return lambda n: alpha / np.arange(1, n)
+def _stationary_hazard(alpha, theta):
+    # h(m, r) = (alpha (m-r) + theta r) / ((m + theta - alpha) r), at row
+    # m - 1 and column r - 1, is q*(m+1:1) q(m:r) / q*(m:r) of the stationary
+    # (alpha, theta) pair in closed form: theta/(m+theta) for Ewens (alpha =
+    # 0), the Sibuya hazard alpha/r for forward renewal (theta = alpha)
+    alpha, theta = float(alpha), float(theta)
+    return lambda n: np.fromfunction(
+        lambda i, j: (alpha * (i - j) + theta * (j + 1)) / ((i + 1 + theta - alpha) * (j + 1)),
+        (n - 1, n - 1))
 
 
 def _markov_hazard(dm):
@@ -216,7 +213,7 @@ def _markov_hazard(dm):
         # entry with r > m is 0
         new, extend, here = qs[1:, :1] * q, qs[1:, 1:], qs[:-1, :-1]
         err = np.abs(new + extend - here)
-        if not err.max(initial=0.0) <= 1e-9:
+        if not err.max(initial=0.0) <= FLOAT_TOL:
             m, r = np.unravel_index(np.argmax(err), err.shape)
             raise ValueError(f"{dm.label or dm.qstar.name} is not right-consistent: "
                              f"q*({m + 2}:1) q({m + 1}:{r + 1}) + q*({m + 2}:{r + 2}) - "
@@ -306,11 +303,13 @@ def _kernel_rng(stream: RngStream, salt: int = 0) -> np.random.Generator:
 
 
 def batch_ewens_strings(theta, n: int, draws: int, stream: RngStream) -> np.ndarray:
-    return _growth_codes(_ewens_hazard(theta), n, draws, _kernel_rng(stream))
+    _check_theta(theta)
+    return _growth_codes(_stationary_hazard(0, theta), n, draws, _kernel_rng(stream))
 
 
 def batch_renewal_strings(alpha, n: int, draws: int, stream: RngStream) -> np.ndarray:
-    return _growth_codes(_renewal_hazard(alpha), n, draws, _kernel_rng(stream))
+    _check_params(0 < alpha < 1, "alpha must be in (0,1)", alpha)
+    return _growth_codes(_stationary_hazard(alpha, alpha), n, draws, _kernel_rng(stream))
 
 
 def batch_markov_compositions(dm: DecrementMatrixPair, n: int, draws: int,
@@ -319,9 +318,9 @@ def batch_markov_compositions(dm: DecrementMatrixPair, n: int, draws: int,
 
     Ball m+1 opens a new part with probability q*(m+1:1) q(m:r) / q*(m:r),
     r the last part of the first m balls.  q rows 1..n-1 and q* rows 1..n
-    must each be a probability vector summing to 1 within 1e-9, and the pair
-    must be right-consistent: q*(m+1:1) q(m:r) + q*(m+1:r+1) = q*(m:r)
-    within 1e-9 for every m < n.  Otherwise it raises ValueError.
+    must each be a law, summing to 1 within ``FLOAT_TOL``, and the pair must
+    be right-consistent: q*(m+1:1) q(m:r) + q*(m+1:r+1) = q*(m:r) within
+    ``FLOAT_TOL`` for every m < n.  Otherwise it raises ValueError.
     """
     return _growth_codes(_markov_hazard(dm), n, draws, _kernel_rng(stream))
 

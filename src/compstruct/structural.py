@@ -15,12 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import truediv
 from typing import Sequence
 
 from .composition import Composition, enumerate_compositions
 from .laws import Cpf, DecrementMatrix, DecrementMatrixPair, MeanderLaw, markov_cpf
-from .ratmath import binom, is_exact
+from .ratmath import FLOAT_TOL, binom, close, is_exact
 
 __all__ = [
     "StructuralMoments",
@@ -40,13 +39,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class StructuralMoments:
-    """p(1..N) with p(n) = E V^(n-1); p(1) = 1, or within 1e-9 for a float."""
+    """p(1..N) with p(n) = E V^(n-1) and p(1) ``close`` to 1."""
 
     p: tuple
 
     def __post_init__(self):
-        p1 = self.p[0] if self.p else 0
-        if not (p1 == 1 if is_exact(p1) else abs(p1 - 1) <= 1e-9):
+        if not close(self.p[0] if self.p else 0, 1):
             raise ValueError("moment sequence must start with p(1) = 1")
 
     def __call__(self, n: int):
@@ -145,13 +143,8 @@ def reconstruct_markov(moments: StructuralMoments):
         raise ValueError("need at least p(1..2)")
     exact = is_exact(*moments.p)
     zero, one = (Fraction(0), Fraction(1)) if exact else (0.0, 1.0)
-    # float moments take float coefficients, even where some moments are
-    # fractions (a moments file whose first line is "1")
-    ratio = Fraction if exact else truediv
     qstar_rows = {n: size_biased_part_law(moments, n) for n in range(1, N + 2)}
-
-    tol = 0 if exact else 1e-9
-    one_block = all(abs(moments(k) - 1) <= tol for k in range(1, moments.max_n + 1))
+    one_block = all(close(p, 1) for p in moments.p)
 
     q_rows = {1: [one]}
     if one_block:
@@ -165,8 +158,8 @@ def reconstruct_markov(moments: StructuralMoments):
             if pivot == 0 or (not exact and abs(pivot) < 1e-15):
                 raise ReconstructionError(
                     f"q*({n + 1}:1) = 0: no singleton mass, q is not solvable")
-            q_rows[n] = [(qstar_rows[n][r - 1] - ratio(r + 1, n + 1) * up[r]
-                          - ratio(n + 1 - r, n + 1) * up[r - 1]) * (n + 1) / pivot
+            q_rows[n] = [(qstar_rows[n][r - 1] - Fraction(r + 1, n + 1) * up[r]
+                          - Fraction(n + 1 - r, n + 1) * up[r - 1]) * (n + 1) / pivot
                          for r in range(1, n + 1)]
 
     for n, row in list(q_rows.items()) + [(n, qstar_rows[n]) for n in qstar_rows]:
@@ -208,8 +201,6 @@ class DensityCheckReport:
 
 #: Midpoint grid on which ``structural_density_check`` tests monotonicity.
 DENSITY_GRID = 10 ** 4
-#: Tolerance of ``structural_density_check`` on the total mass.
-DENSITY_MASS_TOL = 1e-9
 
 
 def structural_density_check(law: MeanderLaw) -> DensityCheckReport:
@@ -219,9 +210,9 @@ def structural_density_check(law: MeanderLaw) -> DensityCheckReport:
     worst = 0.0
     for a, b in zip(vals, vals[1:]):
         worst = max(worst, b - a)
-    monotone = worst <= 1e-9 * max(1.0, max(vals))
+    monotone = worst <= FLOAT_TOL * max(1.0, max(vals))
 
     from scipy.integrate import quad
 
     mass, _ = quad(law.density, 0.0, 1.0, epsabs=1e-12, epsrel=1e-12, limit=200)
-    return DensityCheckReport(monotone, abs(mass - 1.0) < DENSITY_MASS_TOL, mass, worst)
+    return DensityCheckReport(monotone, abs(mass - 1.0) < FLOAT_TOL, mass, worst)

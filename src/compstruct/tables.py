@@ -120,4 +120,4 @@ def report_tree(reports) -> dict:
 
 
 def to_json(tree) -> str:
-    return json.dumps(tree, indent=2)
+    return json.dumps(tree)

@@ -1,8 +1,11 @@
 """Consistency checkers and statistical test machinery.
 
-Exact checks turn the consistency identities into pass/fail reports with a
-reproducible worst-violation witness; a pooled chi-square gate compares
-sampled counts with an exact table.
+Each check compares the two sides of a consistency identity value by value
+with ``ratmath.close``: bit-exactly where both are rational, within
+``ratmath.FLOAT_TOL`` where either is a float.  A report's witness is the
+failing pair with the largest gap, and its mode is exact iff every compared
+value was rational (a check that compares nothing is exact).  A pooled
+chi-square gate compares sampled counts with an exact table.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from typing import Optional, Sequence
 
 from .composition import Composition, enumerate_compositions
 from .laws import Cpf, DecrementMatrixPair
-from .ratmath import is_exact
+from .ratmath import close, is_exact
 from .structural import last_part_law, size_biased_part_law, structural_moments
 
 __all__ = [
@@ -24,8 +27,6 @@ __all__ = [
     "check_theorem_SL",
     "chi_square_gof",
 ]
-
-FLOAT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -42,23 +43,18 @@ class CheckReport:
         return f"[{verdict}] {self.name} ({self.scope}, {self.mode}){extra}"
 
 
-def _run_identity(name, scope, pairs, exact):
-    """pairs yields (witness, lhs, rhs); collects worst violation."""
-    worst = None
-    worst_gap = 0
+def _run_identity(name, scope, pairs):
+    """pairs yields (witness, lhs, rhs); passes iff every pair is ``close``,
+    with the failing pair of largest |lhs - rhs| as witness."""
+    worst, worst_gap, exact = None, 0, True
     for witness, lhs, rhs in pairs:
-        gap = abs(lhs - rhs)
-        if worst is None or gap > worst_gap:
-            worst, worst_gap = (witness, lhs, rhs), gap
-    tol = 0 if exact else FLOAT_TOL
-    passed = worst is None or worst_gap <= tol
-    return CheckReport(name=name, scope=scope, passed=passed,
-                       worst=None if passed else worst,
+        exact = exact and is_exact(lhs, rhs)
+        if not close(lhs, rhs):
+            gap = abs(lhs - rhs)
+            if worst is None or gap > worst_gap:
+                worst, worst_gap = (witness, lhs, rhs), gap
+    return CheckReport(name=name, scope=scope, passed=worst is None, worst=worst,
                        mode="exact" if exact else "float")
-
-
-def _cpf_is_exact(cpf: Cpf) -> bool:
-    return is_exact(cpf(Composition((1,))), cpf(Composition((2,))))
 
 
 def check_right_consistency(cpf: Cpf, n_max: int) -> CheckReport:
@@ -71,8 +67,7 @@ def check_right_consistency(cpf: Cpf, n_max: int) -> CheckReport:
                 appended = Composition(c.parts + (1,))
                 yield c, cpf(c), cpf(grown) + cpf(appended)
 
-    return _run_identity("right-consistency", f"{cpf.name}, n<{n_max}", pairs(),
-                         _cpf_is_exact(cpf))
+    return _run_identity("right-consistency", f"{cpf.name}, n<{n_max}", pairs())
 
 
 def check_uniform_consistency(cpf: Cpf, n_max: int) -> CheckReport:
@@ -93,13 +88,11 @@ def check_uniform_consistency(cpf: Cpf, n_max: int) -> CheckReport:
             for lam in enumerate_compositions(n - 1):
                 yield lam, cpf(lam), sums.get(lam, 0) / n
 
-    return _run_identity("uniform-consistency", f"{cpf.name}, n<={n_max}", pairs(),
-                         _cpf_is_exact(cpf))
+    return _run_identity("uniform-consistency", f"{cpf.name}, n<={n_max}", pairs())
 
 
 def check_decrement_recursions(dm: DecrementMatrixPair, n_max: int) -> CheckReport:
     """Entrywise recursions tying rows n and n+1 of q and q*."""
-    exact = is_exact(dm.q(1, 1), dm.q(2, 1), dm.qstar(2, 1))
 
     def pairs():
         for n in range(1, n_max + 1):
@@ -116,7 +109,7 @@ def check_decrement_recursions(dm: DecrementMatrixPair, n_max: int) -> CheckRepo
                 yield ("q*", n, r), lhs, rhs
 
     return _run_identity("decrement-recursions", f"{dm.label or dm.q.name}, n<={n_max}",
-                         pairs(), exact)
+                         pairs())
 
 
 def check_theorem_SL(cpf: Cpf, n_max: int) -> CheckReport:
@@ -130,8 +123,7 @@ def check_theorem_SL(cpf: Cpf, n_max: int) -> CheckReport:
             for r in range(1, n + 1):
                 yield (n, r), last[r - 1], sized[r - 1]
 
-    return _run_identity("theorem-S=L", f"{cpf.name}, n<={n_max}", pairs(),
-                         _cpf_is_exact(cpf))
+    return _run_identity("theorem-S=L", f"{cpf.name}, n<={n_max}", pairs())
 
 
 # ---------------------------------------------------------------------------

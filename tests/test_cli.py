@@ -319,7 +319,7 @@ class TestCheckCommand:
 
     def test_decimal_two_param_passes(self, capsys):
         # float q*(1:1) is 0.9999999999999991; the structural moments take
-        # p(1) within 1e-9 of 1 in float mode
+        # p(1) within ratmath.FLOAT_TOL of 1 in float mode
         code, out, _ = run(capsys, "check", "--family", "two-param", "--alpha",
                            "0.5", "--theta", "1.0", "--n-max", "7")
         assert code == 0
@@ -384,6 +384,21 @@ class TestCheckCommand:
                            "--matrix-file", str(mf), "--n-max", "5")
         assert code == 0 and "[pass]" in out
 
+    def test_table_of_fractions_then_decimals_passes_in_float_mode(self, capsys, tmp_path):
+        # rows n <= 2 exact, rows n >= 3 as float reprs of the same law: each
+        # pair of values is compared exactly only when both are rational, so
+        # 3/4 against 0.7499999999999999 is a float comparison and passes
+        pair = two_param_stationary_pair(F(1, 2), 1)
+        mf = tmp_path / "mixed.txt"
+        mf.write_text("".join(
+            f"{kind} {n} {r} {tables.format_value(v) if n <= 2 else repr(float(v))}\n"
+            for n in range(1, 10) for r in range(1, n + 1)
+            for kind, m in (("q", pair.q), ("q*", pair.qstar)) for v in (m(n, r),)))
+        code, out, _ = run(capsys, "check", "--family", "markov-table",
+                           "--matrix-file", str(mf), "--n-max", "8")
+        assert code == 0
+        assert out.count("[pass]") == 4 and out.count(", float)") == 4
+
     def test_json_lists_the_verdicts_and_the_control_witness(self, capsys):
         argv = ("check", "--family", "two-param", "--alpha", "1/2", "--theta", "1",
                 "--n-max", "6", "--format", "json")
@@ -419,7 +434,7 @@ class TestReconstructCommand:
     def test_float_roundtrip_compares_within_tolerance(self, capsys, tmp_path, theta, code,
                                                        verdict):
         # exact Ewens(1) moments against a float reference: equal within
-        # verify.FLOAT_TOL at theta = 1.0, a different law at theta = 0.5
+        # ratmath.FLOAT_TOL at theta = 1.0, a different law at theta = 0.5
         from compstruct.laws import ewens_cpf
         from compstruct.structural import structural_moments
 

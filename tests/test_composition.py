@@ -56,6 +56,15 @@ class TestEncodings:
         with pytest.raises(ValueError):
             enumerate_compositions(17)
 
+    def test_composition_needs_one_part(self):
+        with pytest.raises(ValueError, match="at least one part"):
+            Composition(())
+
+    @pytest.mark.parametrize("parts", [(0,), (2, 0, 1), (3, -1)])
+    def test_parts_must_be_positive(self, parts):
+        with pytest.raises(ValueError, match="parts must be positive"):
+            Composition(parts)
+
 
 class TestRank:
     def test_rank_sorts_parts(self):
@@ -85,6 +94,14 @@ class TestRank:
         assert sorted(arrs, key=lambda a: a.parts, reverse=True) == arrs
         assert len(set(arrs)) == len(arrs)
         assert set(arrs) == {d for d in enumerate_compositions(lam.n) if d.rank() == lam}
+
+    def test_partition_parts_must_be_positive_and_sorted(self):
+        with pytest.raises(ValueError, match="invalid partition parts"):
+            Partition((2, 0))
+        for parts in ((1, 2), (2, 1, 3)):
+            with pytest.raises(ValueError, match="sorted descending"):
+                Partition(parts)
+        assert Partition((3, 1, 1)).parts == (3, 1, 1)
 
     def test_partition_count(self):
         # p(1..8) = 1, 2, 3, 5, 7, 11, 15, 22

@@ -627,6 +627,23 @@ INF, NAN = float("inf"), float("nan")
     pytest.param(lambda: two_param_stationary_pair(0.5, INF), id="stationary_pair-inf"),
     pytest.param(lambda: two_param_levy(0.5, INF), id="two_param_levy-inf"),
     pytest.param(lambda: LevySpec(drift=1, alpha=F(1, 2), theta=1), id="levy-drift-and-tail"),
+    *(pytest.param(lambda bad=bad: LevySpec(drift=bad), id=f"levy-drift-{bad}")
+      for bad in (NAN, INF, -2)),
+    pytest.param(lambda: two_param_q(F(1, 2), 1)(3, 0), id="decrement-matrix-r=0"),
+    pytest.param(lambda: two_param_q(F(1, 2), 1)(3, 4), id="decrement-matrix-r>n"),
+    pytest.param(lambda: meander_moments(beta_meander(F(1, 2), 1), 3, 4),
+                 id="meander_moments-m>n"),
+    pytest.param(lambda: meander_moments(beta_meander(F(1, 2), 1), 3, -1),
+                 id="meander_moments-m<0"),
+    pytest.param(lambda: potential_from_levy(two_param_levy(F(1, 2), 1), 0),
+                 id="potential_from_levy-j=0"),
+    pytest.param(lambda: potential_from_levy(LevySpec(), 2), id="potential_from_levy-d+m=0"),
+    pytest.param(lambda: upchain_transition(two_param_q(F(1, 2), 1), lambda j: 1, 0, 2),
+                 id="upchain_transition-i=0"),
+    pytest.param(lambda: upchain_transition(two_param_q(F(1, 2), 1), lambda j: 1, 3, 3),
+                 id="upchain_transition-j=i"),
+    pytest.param(lambda: upchain_transition(two_param_q(F(1, 2), 1), lambda j: 0, 1, 2),
+                 id="upchain_transition-g=0"),
     pytest.param(lambda: sample_partition_batch(0.5, 1.0, 0, 10, RngStream(1)),
                  id="sample_partition_batch-n=0"),
     pytest.param(lambda: codes_to_counts([1], 0), id="codes_to_counts-n=0"),

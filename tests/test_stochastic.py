@@ -25,8 +25,7 @@ from compstruct.stochastic import (RngStream, ScaleInvariantSet,
                                    poisson_sampling_composition,
                                    sample_partition_batch,
                                    uniform_sampling_composition)
-from compstruct.stochastic import (_bits_to_codes, _ewens_hazard, _markov_hazard,
-                                   _renewal_hazard)
+from compstruct.stochastic import _bits_to_codes, _markov_hazard, _stationary_hazard
 from compstruct.structural import (expected_num_parts, reconstruct_markov,
                                    structural_moments)
 from compstruct.verify import chi_square_gof
@@ -196,11 +195,15 @@ class TestGrowthKernel:
         assert abs(parts.mean() - exact) < 5 * se
 
     @pytest.mark.parametrize("closed, pair", [
-        *((_ewens_hazard(t), ewens_pair(t)) for t in (F(1, 2), 1, F(3, 2), 2)),
-        *((_renewal_hazard(a), renewal_pair(a)) for a in (F(1, 4), F(1, 2), F(3, 4)))])
+        *((_stationary_hazard(0, t), ewens_pair(t)) for t in (F(1, 2), 1, F(3, 2), 2)),
+        *((_stationary_hazard(a, a), renewal_pair(a)) for a in (F(1, 4), F(1, 2), F(3, 4))),
+        *((_stationary_hazard(a, t), two_param_stationary_pair(a, t))
+          for a, t in ((F(1, 2), 1), (F(1, 3), F(2, 3)), (F(1, 4), 3), (0, 2),
+                       (F(1, 2), F(1, 2)), (F(2, 3), F(1, 6)), (F(1, 5), F(1, 10))))])
     def test_closed_form_hazards_are_the_pair_hazards(self, closed, pair):
-        # theta/(m+theta) and alpha/r are the hazard of the Ewens and forward
-        # renewal pairs on every reachable entry r <= m
+        # (alpha (m-r) + theta r) / ((m + theta - alpha) r) is the hazard of
+        # the stationary pair on every reachable entry r <= m: theta/(m+theta)
+        # for Ewens (alpha = 0) and alpha/r for forward renewal (theta = alpha)
         for n in (2, 9, 32):
             reach = np.tril(np.ones((n - 1, n - 1), dtype=bool))
             want = _markov_hazard(pair)(n)[reach]
@@ -279,6 +282,32 @@ class TestScaleInvariantConstructions:
         for bad in (0.0, -0.5, 1.5, float("nan")):
             with pytest.raises(ValueError):
                 sset.gap(bad)
+
+    def test_has_atom_in_refuses_a_bad_interval(self):
+        sset = ScaleInvariantSet(1.0, RngStream(30).generator())
+        for a, b in ((0.0, 1.0), (-1.0, 1.0), (2.0, 1.0), (float("nan"), 1.0)):
+            with pytest.raises(ValueError, match="need 0 < a <= b"):
+                sset.has_atom_in(a, b)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_op_level_calls_take_a_stream_or_its_generator(self, seed):
+        def draws(source):
+            sset = ScaleInvariantSet(1.5, source(seed))
+            return (uniform_sampling_composition(sset, 6, source(seed + 10)),
+                    poisson_sampling_composition(sset, 6, source(seed + 20)),
+                    sset.gap(0.3))
+
+        assert draws(RngStream) == draws(lambda s: RngStream(s).generator())
+
+    @pytest.mark.parametrize("rng", [7, None, np.random.RandomState(7)],
+                             ids=["int", "None", "RandomState"])
+    def test_op_level_calls_refuse_another_random_source(self, rng):
+        with pytest.raises(TypeError, match="expected RngStream or numpy Generator"):
+            ScaleInvariantSet(1.0, rng)
+        sset = ScaleInvariantSet(1.0, RngStream(31))
+        for construction in (uniform_sampling_composition, poisson_sampling_composition):
+            with pytest.raises(TypeError):
+                construction(sset, 3, rng)
 
     def test_poisson_n1(self):
         rng = RngStream(25).generator()

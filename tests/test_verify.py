@@ -14,6 +14,7 @@ from compstruct.composition import Composition
 from compstruct.laws import (Cpf, DecrementMatrix, DecrementMatrixPair, ewens_cpf,
                              markov_cpf, renewal_cpf, two_param_q,
                              two_param_stationary_pair)
+from compstruct.ratmath import FLOAT_TOL, close
 from compstruct.verify import (check_decrement_recursions,
                                check_right_consistency, check_theorem_SL,
                                check_uniform_consistency, chi_square_gof)
@@ -80,6 +81,29 @@ class TestExactCheckers:
         cpf = markov_cpf(two_param_stationary_pair(0.5, 1.0))
         rep = check_uniform_consistency(cpf, 6)
         assert rep.passed and rep.mode == "float"
+
+    def test_each_pair_is_compared_in_its_own_mode(self):
+        # rows n <= 2 exact, larger ones floats: two rationals compare
+        # exactly, a pair with a float within FLOAT_TOL
+        exact = markov_cpf(two_param_stationary_pair(F(1, 2), 1))
+        mixed = Cpf("mixed", lambda c: exact(c) if c.n <= 2 else float(exact(c)))
+        rep = check_right_consistency(mixed, 6)
+        assert rep.passed and rep.mode == "float", str(rep)
+        bump = F(1, 10 ** 12)  # below FLOAT_TOL, yet not equal
+        off = Cpf("off", lambda c: mixed(c) + (bump if c.parts == (2,) else 0))
+        rep = check_right_consistency(off, 6)
+        assert not rep.passed and rep.mode == "float"
+        assert rep.worst == (C((1,)), F(1), F(1) + bump)
+
+    def test_a_check_that_compares_nothing_is_exact(self):
+        rep = check_right_consistency(ewens_cpf(1.0), 1)
+        assert rep.passed and rep.worst is None and rep.mode == "exact"
+
+    def test_close_is_exact_for_rationals_only(self):
+        assert close(F(1, 3), F(1, 3)) and not close(F(1, 3), F(1, 3) + F(1, 10 ** 12))
+        assert close(F(1, 3), 1 / 3) and close(0.1 + 0.2, 0.3)
+        assert close(1.0, 1.0 + FLOAT_TOL / 2) and not close(1.0, 1.0 + 2 * FLOAT_TOL)
+        assert not close(float("nan"), float("nan"))
 
     def test_report_str(self):
         rep = check_right_consistency(ewens_cpf(1), 4)
