@@ -16,8 +16,7 @@ from .laws import (Cpf, DecrementMatrix, DecrementMatrixPair, LevySpec,
 from .structural import (ReconstructionError, StructuralMoments,
                          block_count_row, deletion_law, expected_num_parts,
                          last_part_law, potential_from_cpf, reconstruct_markov,
-                         size_biased_part_law, structural_density_check,
-                         structural_moments)
+                         size_biased_part_law, structural_moments)
 from .verify import (CheckReport, check_decrement_recursions,
                      check_right_consistency, check_theorem_SL,
                      check_uniform_consistency, chi_square_gof)

@@ -337,19 +337,19 @@ def levy_exponent(spec: LevySpec, s):
 class MeanderLaw:
     """Law of the meander length A_1, given by its joint moments.
 
-    ``moment(a, b)`` returns E[A_1^a (1-A_1)^b]; ``density`` is its float
-    density on (0, 1).
+    ``moment(a, b)`` returns E[A_1^a (1-A_1)^b], exact for rational data;
+    the q* rows read A_1 only through these moments.
     """
 
     moment: Callable[[int, int], object]
-    density: Callable[[float], float]
     label: str = ""
 
 
 def beta_meander(alpha, theta) -> MeanderLaw:
     """A_1 ~ Beta(1-alpha, theta): the two-parameter stationary meander.
 
-    E[A_1^a (1-A_1)^b] = (1-alpha)_a (theta)_b / (1-alpha+theta)_{a+b}.
+    E[A_1^a (1-A_1)^b] = (1-alpha)_a (theta)_b / (1-alpha+theta)_{a+b},
+    exact for rational (alpha, theta) and a float otherwise.
     """
     _check_params(0 <= alpha < 1 and theta > 0, "need 0 <= alpha < 1 and theta > 0",
                   alpha, theta)
@@ -357,14 +357,7 @@ def beta_meander(alpha, theta) -> MeanderLaw:
     def moment(a, b):
         return rising_ratio(((1 - alpha, a), (theta, b)), ((1 - alpha + theta, a + b),))
 
-    a, t = float(alpha), float(theta)
-    inv_beta = math.exp(math.lgamma(1.0 - a + t) - math.lgamma(1.0 - a) - math.lgamma(t))
-
-    def density(x):
-        return x ** (-a) * (1.0 - x) ** (t - 1.0) * inv_beta
-
-    return MeanderLaw(moment=moment, density=density,
-                      label=f"beta({1 - alpha},{theta})")
+    return MeanderLaw(moment=moment, label=f"beta({1 - alpha},{theta})")
 
 
 def meander_moments(law: MeanderLaw, n: int, m: int):

@@ -18,8 +18,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .composition import Composition, enumerate_compositions
-from .laws import Cpf, DecrementMatrix, DecrementMatrixPair, MeanderLaw, markov_cpf
-from .ratmath import FLOAT_TOL, binom, close, is_exact
+from .laws import Cpf, DecrementMatrix, DecrementMatrixPair, markov_cpf
+from .ratmath import binom, close, is_exact
 
 __all__ = [
     "StructuralMoments",
@@ -32,8 +32,6 @@ __all__ = [
     "size_biased_part_law",
     "ReconstructionError",
     "reconstruct_markov",
-    "DensityCheckReport",
-    "structural_density_check",
 ]
 
 
@@ -185,34 +183,3 @@ def reconstruct_markov(moments: StructuralMoments):
                                qstar=DecrementMatrix("q*[reconstructed]", qstar_entry),
                                label="reconstructed")
     return pair, markov_cpf(pair)
-
-
-@dataclass(frozen=True)
-class DensityCheckReport:
-    monotone: bool
-    mass_ok: bool
-    total_mass: float
-    worst_violation: float
-
-    @property
-    def passed(self) -> bool:
-        return self.monotone and self.mass_ok
-
-
-#: Midpoint grid on which ``structural_density_check`` tests monotonicity.
-DENSITY_GRID = 10 ** 4
-
-
-def structural_density_check(law: MeanderLaw) -> DensityCheckReport:
-    """Check the structural-law shape: (1-x) phi(x) nonincreasing, mass 1."""
-    xs = [(k + 0.5) / DENSITY_GRID for k in range(DENSITY_GRID)]
-    vals = [(1.0 - x) * law.density(x) for x in xs]
-    worst = 0.0
-    for a, b in zip(vals, vals[1:]):
-        worst = max(worst, b - a)
-    monotone = worst <= FLOAT_TOL * max(1.0, max(vals))
-
-    from scipy.integrate import quad
-
-    mass, _ = quad(law.density, 0.0, 1.0, epsabs=1e-12, epsrel=1e-12, limit=200)
-    return DensityCheckReport(monotone, abs(mass - 1.0) < FLOAT_TOL, mass, worst)

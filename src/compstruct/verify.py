@@ -5,11 +5,13 @@ with ``ratmath.close``: bit-exactly where both are rational, within
 ``ratmath.FLOAT_TOL`` where either is a float.  A report's witness is the
 failing pair with the largest gap, and its mode is exact iff every compared
 value was rational (a check that compares nothing is exact).  A pooled
-chi-square gate compares sampled counts with an exact table.
+chi-square gate compares sampled counts with an exact table; its p-value is
+a standard-library chi-square tail, so this module imports no scipy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -86,7 +88,8 @@ def check_uniform_consistency(cpf: Cpf, n_max: int) -> CheckReport:
                     lam = mu.delete_ball(pos)
                     sums[lam] = sums.get(lam, 0) + p_mu * part
             for lam in enumerate_compositions(n - 1):
-                yield lam, cpf(lam), sums.get(lam, 0) / n
+                s = sums.get(lam, 0)
+                yield lam, cpf(lam), Fraction(s, n) if is_exact(s) else s / n
 
     return _run_identity("uniform-consistency", f"{cpf.name}, n<={n_max}", pairs())
 
@@ -135,10 +138,10 @@ MIN_EXPECTED = 5.0
 
 
 def chi_square_gof(counts: Sequence, expected_probs: Sequence):
-    """Pearson statistic and p-value, pooling small-expectation cells.
+    """Pearson statistic, p-value and df, pooling small-expectation cells.
 
     Cells with expected count below ``MIN_EXPECTED`` are pooled into a single
-    'other' cell before computing the statistic.
+    'other' cell before computing the statistic; the p-value is ``_chi2_tail``.
     """
     import numpy as np
 
@@ -160,7 +163,25 @@ def chi_square_gof(counts: Sequence, expected_probs: Sequence):
     df = int(positive.sum()) - 1
     if df <= 0:
         return stat, 1.0, 0
-    from scipy.special import chdtrc  # imports far faster than scipy.stats
+    return stat, _chi2_tail(df, stat), df
 
-    return stat, float(chdtrc(df, stat)), df
+
+def _chi2_tail(df: int, x: float) -> float:
+    """P(chi2_df > x) for an integer df >= 1, as a Poisson tail.
+
+    With y = x/2 the tail is the sum of e^-y y^s / Gamma(s+1) over
+    s = df/2 - 1, df/2 - 2, ... down to 0 (even df) or 1/2 (odd df), plus
+    erfc(sqrt y) for odd df (Abramowitz and Stegun, section 26.4).  Every
+    term is positive and formed in log space, so a tail past the float range
+    is 0.0, not NaN.
+    """
+    if x <= 0:
+        return 1.0
+    y = x / 2
+    log_y = math.log(y)
+    terms = [math.exp(s * log_y - y - math.lgamma(s + 1))
+             for s in (df / 2 - j for j in range(1, df // 2 + 1))]
+    if df % 2:
+        terms.append(math.erfc(math.sqrt(y)))
+    return min(1.0, math.fsum(terms))  # rounded terms can sum to 1 + 2^-52
 

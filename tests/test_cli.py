@@ -174,13 +174,12 @@ class TestCpfCommand:
                     "             '--theta', '1.0', '--n', '6']) == 0\n")
 
     def test_float_levy_path_loads_no_scipy(self):
-        # the Levy exponent, the potential and the Beta density use lgamma
-        run_without("scipy", "from compstruct.laws import (beta_meander, levy_exponent,\n"
-                    "                             potential_from_levy, two_param_levy)\n"
+        # the Levy exponent and the potential use lgamma
+        run_without("scipy", "from compstruct.laws import (levy_exponent, potential_from_levy,\n"
+                    "                             two_param_levy)\n"
                     "spec = two_param_levy(0.5, 1.0)\n"
                     "assert levy_exponent(spec, 3) > 0\n"
-                    "assert potential_from_levy(spec, 4) > 0\n"
-                    "assert beta_meander(0.5, 1.0).density(0.3) > 0\n")
+                    "assert potential_from_levy(spec, 4) > 0\n")
 
     @pytest.mark.parametrize("fmt, unused", [("text", "cpf_table_tree"),
                                              ("json", "cpf_table_lines")])
@@ -657,7 +656,8 @@ class TestFragmentCommand:
 
 
 class TestImportBoundary:
-    """Only ``sample`` and ``arrange`` load numpy; the exact commands never do."""
+    """Only ``sample`` and ``arrange`` load numpy; the exact commands never do.
+    No command loads scipy."""
 
     def test_package_and_cli_load_no_numpy(self):
         run_without("numpy", "import compstruct, compstruct.cli\n")
@@ -684,6 +684,36 @@ class TestImportBoundary:
         ]
         run_without("numpy", "from compstruct.cli import main\n" + "".join(
             f"assert main({argv + ['--format', fmt]!r}) in {want!r}\n" for argv, want in runs))
+
+    @pytest.mark.parametrize("alpha, theta", [("1/2", "1"), ("0.5", "1.0")],
+                             ids=["exact", "decimal"])
+    def test_every_command_runs_without_scipy(self, tmp_path, alpha, theta):
+        mf = tmp_path / "moments.txt"
+        mf.write_text("".join(f"1/{n}\n" for n in range(1, 7)))  # E V^(n-1), V uniform
+        pair = ["--family", "two-param", "--alpha", alpha, "--theta", theta]
+        draws = ["--seed", "1", "--draws", "200"]
+        runs = [
+            (["cpf", *pair, "--n", "6"], (0,)),
+            (["check", *pair, "--n-max", "6"], (0,)),
+            (["check", *pair, "--n-max", "6", "--control", "regenerative"], (1,)),
+            (["fragment", "--outer", "two-param", "--outer-alpha", alpha, "--outer-theta",
+              theta, "--inner", "ewens", "--inner-theta", theta, "--n", "5"], (0,)),
+            (["reconstruct", "--moments", str(mf), "--roundtrip-family", "ewens",
+              "--theta", theta], (0,)),
+            (["sample", *pair, "--n", "5", *draws], (0,)),
+            *((["sample", "--family", "ewens", "--theta", theta, "--n", "5",
+                "--method", method, *draws], (0,)) for method in ("uniform-set", "poisson-set")),
+            (["arrange", "--partition", "2,1,1", "--alpha", alpha, "--theta", theta, *draws],
+             (0,)),
+        ]
+        # a None entry makes every import of scipy raise ImportError
+        run_without("scipy", "import sys\n"
+                    "sys.modules['scipy'] = None\n"
+                    "from compstruct.cli import main\n"
+                    + "".join(f"assert main({argv!r}) in {want!r}\n" for argv, want in runs)
+                    + "from compstruct.verify import chi_square_gof\n"
+                    "assert 0 < chi_square_gof([40, 60], [0.5, 0.5])[1] < 1\n"
+                    "del sys.modules['scipy']\n")
 
     def test_sampling_commands_run_in_a_fresh_process(self):
         run_fresh("import sys\n"

@@ -1,19 +1,20 @@
 """Structural moments, block counts, deletion law and reconstruction."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
 
 from compstruct.composition import Composition, enumerate_compositions
-from compstruct.laws import (ewens_cpf, markov_cpf, renewal_cpf,
+from compstruct.laws import (beta_meander, ewens_cpf, markov_cpf, renewal_cpf,
                              two_param_levy, two_param_stationary_pair,
                              potential_from_levy)
+from compstruct.ratmath import FLOAT_TOL
 from compstruct.structural import (ReconstructionError, StructuralMoments,
                                    block_count_row, deletion_law,
                                    expected_num_parts, last_part_law,
                                    potential_from_cpf, reconstruct_markov,
                                    size_biased_part_law,
-                                   structural_density_check,
                                    structural_moments)
 
 C = Composition
@@ -202,20 +203,41 @@ class TestReconstruction:
             reconstruct_markov(mom)
 
 
+def structural_density_check(density, grid=10 ** 4):
+    """Oracle for the structural-law shape: (1-x) phi(x) nonincreasing on a
+    midpoint grid, and phi of mass 1 by quadrature.  Returns (passed, mass)."""
+    from scipy.integrate import quad
+
+    vals = [(1.0 - x) * density(x) for x in ((k + 0.5) / grid for k in range(grid))]
+    worst = max(0.0, max(b - a for a, b in zip(vals, vals[1:])))
+    monotone = worst <= FLOAT_TOL * max(1.0, max(vals))
+    mass, _ = quad(density, 0.0, 1.0, epsabs=1e-12, epsrel=1e-12, limit=200)
+    return monotone and abs(mass - 1.0) < FLOAT_TOL, mass
+
+
+def beta_density(a, b):
+    """Density of Beta(a, b) on (0, 1)."""
+    log_norm = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+    return lambda x: math.exp(log_norm) * x ** (a - 1) * (1 - x) ** (b - 1)
+
+
 class TestDensityCheck:
     def test_beta_structural_density_passes(self):
-        from compstruct.laws import beta_meander
+        # the Beta(1-alpha, theta) meander of the stationary pair: its density
+        # has the moments of beta_meander and passes the shape check
+        from scipy.integrate import quad
 
         law = beta_meander(F(1, 2), 1)
-        report = structural_density_check(law)
-        assert report.passed
-        assert report.total_mass == pytest.approx(1.0, abs=1e-6)
+        density = beta_density(0.5, 1.0)
+        passed, mass = structural_density_check(density)
+        assert passed
+        assert mass == pytest.approx(1.0, abs=1e-6)
+        for a, b in [(1, 0), (0, 1), (2, 3)]:
+            m, _ = quad(lambda x: x ** a * (1 - x) ** b * density(x), 0.0, 1.0,
+                        epsabs=1e-12, epsrel=1e-12, limit=200)
+            assert m == pytest.approx(float(law.moment(a, b)), abs=1e-9)
 
     def test_increasing_density_fails(self):
         # phi(x) = 2x makes (1-x) phi(x) non-monotone on (0,1)
-        from compstruct.laws import MeanderLaw
-
-        bad = MeanderLaw(moment=lambda a, b: None, density=lambda x: 2.0 * x,
-                         label="linear")
-        report = structural_density_check(bad)
-        assert not report.passed
+        passed, _ = structural_density_check(lambda x: 2.0 * x)
+        assert not passed
