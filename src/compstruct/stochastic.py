@@ -4,12 +4,13 @@ size-biased arrangement of partitions.
 
 Each sampled law has one vectorised numpy kernel that draws many
 compositions at once from an ``np.random.Generator`` and returns them as
-integer binary codes (MSB = first digit).  The right-consistent string laws
-(Ewens, forward renewal, Markov product form) share one kernel that grows a
-composition ball by ball; each law supplies only its hazard table, the
-probability that the next ball opens a new part.  The first m digits of a
-draw at n are the draw at m, so one row samples the whole sequence
-C_1, ..., C_n.  The ``batch_*`` functions run a kernel on a seeded
+integer binary codes (MSB = first digit).  The five composition laws share
+one kernel that grows a composition ball by ball; each law supplies only
+the probability that the next ball opens a new part: a hazard table for the
+right-consistent string laws (Ewens, forward renewal, Markov product form),
+a Renyi gap or a Poisson window for the two set constructions.  The first m
+digits of a draw at n are the draw at m, so one row samples the whole
+sequence C_1, ..., C_n.  The ``batch_*`` functions run a kernel on a seeded
 :class:`RngStream`.  One lazy :class:`ScaleInvariantSet` is the op-level
 reference for both set constructions:
 ``uniform_sampling_composition(sset, n, rng)`` reads its gaps,
@@ -122,6 +123,7 @@ class ScaleInvariantSet:
 
 def uniform_sampling_composition(sset: ScaleInvariantSet, n: int, rng) -> Composition:
     """Sizes of the groups of n uniforms on (0, 1] sharing a gap, left to right."""
+    _check_params(n >= 1, "n must be >= 1", n)
     g = _as_rng(rng)
     counts = collections.Counter(sset.gap(u) for u in 1.0 - g.random(n))
     return Composition(tuple(counts[gap] for gap in sorted(counts)))
@@ -129,6 +131,7 @@ def uniform_sampling_composition(sset: ScaleInvariantSet, n: int, rng) -> Compos
 
 def poisson_sampling_composition(sset: ScaleInvariantSet, n: int, rng) -> Composition:
     """Digits xi_j = 1(S meets [eps_{j-1}, eps_j]) for rate-1 Poisson arrivals."""
+    _check_params(n >= 1, "n must be >= 1", n)
     g = _as_rng(rng)
     eps = np.cumsum(g.exponential(1.0, size=n))
     bits = ["1"]
@@ -155,35 +158,58 @@ def _check_theta(theta):
     _check_params(theta > 0, "theta must be positive", theta)
 
 
-def _bits_to_codes(bits):
-    # a (draws, n) bool matrix, right-aligned in 64 columns, packs into one
-    # big-endian 8-byte word per row
-    draws, n = bits.shape
-    padded = np.zeros((draws, 64), dtype=bool)
-    padded[:, 64 - n:] = bits
-    return np.packbits(padded, axis=1).view(">u8").astype(np.int64).ravel()
-
-
-def _growth_codes(hazard, n, draws, g):
-    # grow every draw one ball at a time: given m balls and a last part of
-    # r, ball m+1 opens a new part with probability h[m-1, r-1], else it
-    # extends the last part.  hazard(n) gives the table h for m, r < n (or
-    # anything that broadcasts to it).  One column of uniforms per ball, so
-    # the first m digits of a draw at n are the draw at m from the same
-    # stream
+def _growth_codes(law, n, draws, stream):
+    # grow every draw one ball at a time: ball m+1 opens a new part when its
+    # uniform falls below p, else it extends the last part.  law(n, last, g)
+    # yields the (draws,) column p of each ball m+1 = 2..n and may read last
+    # = r - 1, r the last part of the first m balls, which this loop updates
+    # in place.  Each ball draws its uniforms before its column, so the first
+    # m digits of a draw at n are the draw at m from the same stream
     _check_size(n, draws)
-    h = np.broadcast_to(hazard(n), (n - 1, n - 1))
+    g = _kernel_rng(stream)
     codes = np.ones(draws, dtype=np.int64)
     last = np.zeros(draws, dtype=np.intp)  # r - 1, reset to 0 by a new part
+    columns = law(n, last, g)
     u = np.empty(draws)
-    for m in range(1, n):
+    for _ in range(1, n):
         g.random(out=u)
-        new = u < h[m - 1].take(last)
+        new = u < next(columns)
         codes <<= 1
         codes |= new
         last += 1
         last *= ~new
     return codes
+
+
+def _hazard_law(hazard):
+    # a string law reads p = h[m-1, r-1] off the (n-1, n-1) table hazard(n),
+    # built before the first ball
+    return lambda n, last, g: (row.take(last) for row in hazard(n))
+
+
+def _uniform_set_law(theta):
+    # Theorem-1 construction: uniforms map to depths -log u, read left to
+    # right from the deepest.  By Renyi's representation the gap between the
+    # m-th and (m+1)-th deepest depths is an independent Exp(1)/m, and ball
+    # m+1 starts a new box iff the rate-theta line process has a point in
+    # that gap, which has probability 1 - exp(-theta * gap)
+    return lambda n, last, g: (-np.expm1(g.exponential(size=last.size) * (-float(theta) / m))
+                               for m in range(1, n))
+
+
+def _poisson_set_law(theta):
+    # Theorem-2 construction: given the rate-1 arrivals eps_1 < eps_2 < ...,
+    # the line process meets the disjoint windows [log eps_m, log eps_{m+1}]
+    # independently, and ball m+1 opens a part iff its window holds a point,
+    # with probability 1 - (eps_m / eps_{m+1})^theta
+    def columns(n, last, g):
+        eps = g.exponential(size=last.size)  # eps_m, a running sum
+        for _ in range(1, n):
+            prev = eps.copy()
+            eps += g.exponential(size=last.size)
+            yield 1.0 - (prev / eps) ** float(theta)
+
+    return columns
 
 
 def _stationary_hazard(alpha, theta):
@@ -221,35 +247,6 @@ def _markov_hazard(dm):
         return np.divide(new, here, out=np.zeros_like(new), where=here > 0)
 
     return table
-
-
-def _uniform_set_codes(theta, n, draws, g):
-    # Theorem-1 construction: uniforms map to depths -log u, read left to
-    # right from the deepest.  By Renyi's representation the gap between the
-    # i-th and (i+1)-th deepest depths is an independent Exp(1)/i, and the
-    # (i+1)-th uniform starts a new box iff the rate-theta line process has
-    # a point in that gap, which has probability 1 - exp(-theta * gap)
-    _check_theta(theta)
-    _check_size(n, draws)
-    bits = np.ones((draws, n), dtype=bool)
-    if n > 1:
-        gaps = g.exponential(size=(draws, n - 1)) / np.arange(1, n)
-        bits[:, 1:] = g.random((draws, n - 1)) < -np.expm1(-float(theta) * gaps)
-    return _bits_to_codes(bits)
-
-
-def _poisson_set_codes(theta, n, draws, g):
-    # Theorem-2 construction: presence of line-process points in the disjoint
-    # windows [log eps_{j-1}, log eps_j] is independent Bernoulli given the
-    # arrivals
-    _check_theta(theta)
-    _check_size(n, draws)
-    eps = g.exponential(size=(draws, n)).cumsum(axis=1)
-    bits = np.ones((draws, n), dtype=bool)
-    if n > 1:
-        p = 1.0 - (eps[:, :-1] / eps[:, 1:]) ** float(theta)
-        bits[:, 1:] = g.random((draws, n - 1)) < p
-    return _bits_to_codes(bits)
 
 
 def _arrange_codes(parts, n, alpha, theta, g):
@@ -292,8 +289,10 @@ def _arrange_codes(parts, n, alpha, theta, g):
 
 
 def codes_to_counts(codes: np.ndarray, n: int) -> np.ndarray:
-    """Counts per composition in code order (length 2^(n-1))."""
+    """Counts per composition of n in code order (length 2^(n-1))."""
     _check_size(n, 0)
+    if not (np.right_shift(codes, n - 1) == 1).all():
+        raise ValueError(f"codes must be compositions of n = {n}, in [2^{n - 1}, 2^{n})")
     base = 1 << (n - 1)
     return np.bincount(codes - base, minlength=base)
 
@@ -304,12 +303,12 @@ def _kernel_rng(stream: RngStream, salt: int = 0) -> np.random.Generator:
 
 def batch_ewens_strings(theta, n: int, draws: int, stream: RngStream) -> np.ndarray:
     _check_theta(theta)
-    return _growth_codes(_stationary_hazard(0, theta), n, draws, _kernel_rng(stream))
+    return _growth_codes(_hazard_law(_stationary_hazard(0, theta)), n, draws, stream)
 
 
 def batch_renewal_strings(alpha, n: int, draws: int, stream: RngStream) -> np.ndarray:
     _check_params(0 < alpha < 1, "alpha must be in (0,1)", alpha)
-    return _growth_codes(_stationary_hazard(alpha, alpha), n, draws, _kernel_rng(stream))
+    return _growth_codes(_hazard_law(_stationary_hazard(alpha, alpha)), n, draws, stream)
 
 
 def batch_markov_compositions(dm: DecrementMatrixPair, n: int, draws: int,
@@ -322,33 +321,33 @@ def batch_markov_compositions(dm: DecrementMatrixPair, n: int, draws: int,
     be right-consistent: q*(m+1:1) q(m:r) + q*(m+1:r+1) = q*(m:r) within
     ``FLOAT_TOL`` for every m < n.  Otherwise it raises ValueError.
     """
-    return _growth_codes(_markov_hazard(dm), n, draws, _kernel_rng(stream))
+    return _growth_codes(_hazard_law(_markov_hazard(dm)), n, draws, stream)
 
 
 def batch_uniform_construction(theta, n: int, draws: int, stream: RngStream) -> np.ndarray:
-    """Uniform sampling from the scale-invariant set, vectorised over draws."""
-    return _uniform_set_codes(theta, n, draws, _kernel_rng(stream))
+    """Uniform sampling from the scale-invariant set, grown ball by ball."""
+    _check_theta(theta)
+    return _growth_codes(_uniform_set_law(theta), n, draws, stream)
 
 
 def batch_poisson_construction(theta, n: int, draws: int, stream: RngStream) -> np.ndarray:
-    """Poisson sampling of digits from the scale-invariant set, vectorised."""
-    return _poisson_set_codes(theta, n, draws, _kernel_rng(stream))
+    """Poisson sampling of digits from the scale-invariant set, grown ball by ball."""
+    _check_theta(theta)
+    return _growth_codes(_poisson_set_law(theta), n, draws, stream)
 
 
 def sample_partition_batch(alpha, theta, n: int, draws: int, stream: RngStream
                            ) -> np.ndarray:
     """Partition draws from the exact (alpha,theta) partition law, as a
-    zero-padded (draws, max_parts) parts matrix."""
+    zero-padded (draws, n) parts matrix."""
     _check_alpha_theta(alpha, theta)
-    if not n >= 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_params(n >= 1, "n must be >= 1", n)
     partitions = enumerate_partitions(n)
     probs = np.array([float(partition_law(alpha, theta, lam)) for lam in partitions])
     probs = probs / probs.sum()
     g = stream.generator()
     picks = g.choice(len(partitions), size=draws, p=probs)
-    kmax = max(p.num_parts for p in partitions)
-    mat = np.zeros((len(partitions), kmax), dtype=np.int64)
+    mat = np.zeros((len(partitions), n), dtype=np.int64)  # (1,) * n has n parts
     for i, lam in enumerate(partitions):
         mat[i, :lam.num_parts] = lam.parts
     return mat[picks]

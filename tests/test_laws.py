@@ -19,7 +19,8 @@ from compstruct.ratmath import binom, factorial, rising, rising_ratio
 from compstruct.stochastic import (RngStream, ScaleInvariantSet, batch_ewens_strings,
                                    batch_poisson_construction, batch_renewal_strings,
                                    batch_uniform_construction, codes_to_counts,
-                                   sample_partition_batch)
+                                   poisson_sampling_composition, sample_partition_batch,
+                                   uniform_sampling_composition)
 from compstruct.structural import reconstruct_markov, structural_moments
 from compstruct.verify import check_right_consistency
 from levy_oracle import levy_binomial, levy_stationary_pair
@@ -648,6 +649,9 @@ INF, NAN = float("inf"), float("nan")
                  id="sample_partition_batch-n=0"),
     pytest.param(lambda: codes_to_counts([1], 0), id="codes_to_counts-n=0"),
     pytest.param(lambda: codes_to_counts([1], 64), id="codes_to_counts-n=64"),
+    *(pytest.param(lambda op=op: op(ScaleInvariantSet(1.0, RngStream(1)), 0, RngStream(1)),
+                   id=f"{op.__name__}-n=0")
+      for op in (uniform_sampling_composition, poisson_sampling_composition)),
     # only constructed: with theta = inf, gap() would never return
     *(pytest.param(lambda bad=bad: ScaleInvariantSet(bad, RngStream(1)),
                    id=f"ScaleInvariantSet-{bad}") for bad in (INF, NAN)),

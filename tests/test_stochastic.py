@@ -25,7 +25,7 @@ from compstruct.stochastic import (RngStream, ScaleInvariantSet,
                                    poisson_sampling_composition,
                                    sample_partition_batch,
                                    uniform_sampling_composition)
-from compstruct.stochastic import _bits_to_codes, _markov_hazard, _stationary_hazard
+from compstruct.stochastic import _markov_hazard, _stationary_hazard
 from compstruct.structural import (expected_num_parts, reconstruct_markov,
                                    structural_moments)
 from compstruct.verify import chi_square_gof
@@ -146,25 +146,22 @@ class TestStringSamplers:
         codes = batch_ewens_strings(1.0, 63, 100, RngStream(1))
         assert (codes >= 1 << 62).all()
 
-    def test_bits_to_codes_matches_binary_codes(self):
-        rng = np.random.default_rng(3)
-        for n in range(1, 64):
-            bits = rng.random((20, n)) < 0.5
-            bits[:, 0] = True
-            want = [Composition.from_binary("".join("1" if b else "0" for b in row)).code
-                    for row in bits]
-            codes = _bits_to_codes(bits)
-            assert codes.dtype == np.int64 and codes.tolist() == want
-        assert (codes > 0).all()
-
     def test_zero_draws(self):
         assert batch_ewens_strings(1.0, 5, 0, RngStream(1)).shape == (0,)
         assert batch_arrangements(np.zeros((0, 3)), 5, 0.5, 0.5, RngStream(1)).shape == (0,)
 
+    def test_codes_to_counts_refuses_codes_of_another_n(self):
+        # codes of compositions of 6 are neither compositions of 4 nor of 8
+        codes = batch_ewens_strings(1.0, 6, 100, RngStream(1))
+        assert codes_to_counts(codes, 6).sum() == 100
+        for n, bad in ((4, codes), (8, codes), (1, [0]), (2, [-1])):
+            with pytest.raises(ValueError, match=f"n = {n}"):
+                codes_to_counts(bad, n)
+
 
 class TestGrowthKernel:
-    # the three string laws share one right-growth kernel; the float
-    # stationary (1/2, 1) pair is built once
+    # the five laws share one growth kernel; the float stationary (1/2, 1)
+    # pair is built once
     FLOAT_PAIR = two_param_stationary_pair(0.5, 1.0)
     LAWS = {
         "ewens": (lambda n, d, s: batch_ewens_strings(1.0, n, d, s), ewens_cpf(1)),
@@ -173,6 +170,10 @@ class TestGrowthKernel:
         "markov": (lambda n, d, s: batch_markov_compositions(
             TestGrowthKernel.FLOAT_PAIR, n, d, s),
             markov_cpf(two_param_stationary_pair(F(1, 2), 1))),
+        "uniform-set": (lambda n, d, s: batch_uniform_construction(1.0, n, d, s),
+                        ewens_cpf(1)),
+        "poisson-set": (lambda n, d, s: batch_poisson_construction(1.0, n, d, s),
+                        ewens_cpf(1)),
     }
 
     @pytest.mark.parametrize("law", LAWS)
@@ -308,6 +309,13 @@ class TestScaleInvariantConstructions:
         for construction in (uniform_sampling_composition, poisson_sampling_composition):
             with pytest.raises(TypeError):
                 construction(sset, 3, rng)
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_op_level_calls_refuse_n_below_one(self, n):
+        sset = ScaleInvariantSet(1.0, RngStream(31))
+        for construction in (uniform_sampling_composition, poisson_sampling_composition):
+            with pytest.raises(ValueError, match=f"n must be >= 1, got {n}"):
+                construction(sset, n, RngStream(31))
 
     def test_poisson_n1(self):
         rng = RngStream(25).generator()
