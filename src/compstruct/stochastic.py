@@ -27,7 +27,7 @@ from typing import List
 
 import numpy as np
 
-from .composition import Composition, enumerate_partitions
+from .composition import MAX_ENUM_N, Composition, enumerate_partitions
 from .laws import DecrementMatrixPair, _check_alpha_theta, _check_params, partition_law
 from .ratmath import FLOAT_TOL
 
@@ -289,8 +289,15 @@ def _arrange_codes(parts, n, alpha, theta, g):
 
 
 def codes_to_counts(codes: np.ndarray, n: int) -> np.ndarray:
-    """Counts per composition of n in code order (length 2^(n-1))."""
+    """Counts per composition of n in code order (length 2^(n-1)).
+
+    The table is indexed like ``enumerate_compositions(n)``, so n is capped at
+    ``MAX_ENUM_N``.
+    """
     _check_size(n, 0)
+    if n > MAX_ENUM_N:
+        raise ValueError(f"a count table has 2^(n-1) cells: need n <= {MAX_ENUM_N}, "
+                         f"got n = {n}")
     if not (np.right_shift(codes, n - 1) == 1).all():
         raise ValueError(f"codes must be compositions of n = {n}, in [2^{n - 1}, 2^{n})")
     base = 1 << (n - 1)

@@ -19,7 +19,7 @@ from typing import Sequence
 
 from .composition import Composition, enumerate_compositions
 from .laws import Cpf, DecrementMatrix, DecrementMatrixPair, markov_cpf
-from .ratmath import binom, close, is_exact
+from .ratmath import binom, close, is_exact, over_common_denominator
 
 __all__ = [
     "StructuralMoments",
@@ -109,11 +109,19 @@ def deletion_law(mu_row_n: Sequence, mu_row_prev: Sequence) -> list:
 
 
 def last_part_law(cpf: Cpf, n: int) -> list:
-    """P(L_n = r), r = 1..n, by enumeration of all compositions of n."""
+    """P(L_n = r), r = 1..n, by enumeration of all compositions of n.
+
+    The last part of code c is (c & -c).bit_length().  Rational values are
+    summed in ints over one common denominator D, each sum reduced once as
+    s / D; values with a float are summed as they are, in code order.
+    """
+    values = [cpf(c) for c in enumerate_compositions(n)]
+    common = over_common_denominator(values)
     law = [0] * n
-    for c in enumerate_compositions(n):
-        law[c.last_part - 1] = law[c.last_part - 1] + cpf(c)
-    return law
+    for c, w in enumerate(values if common is None else common[0], start=1 << (n - 1)):
+        r = (c & -c).bit_length()
+        law[r - 1] = law[r - 1] + w
+    return law if common is None else [Fraction(s, common[1]) for s in law]
 
 
 def size_biased_part_law(moments: StructuralMoments, n: int) -> list:

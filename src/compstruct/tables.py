@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .composition import enumerate_compositions
 from .ratmath import parse_scalar
 
 
@@ -30,7 +29,8 @@ def parse_value(text: str):
 def cpf_table_lines(cpf, n: int) -> list:
     """Rows: binary code, probability, family tag; normalization line last."""
     rows = cpf.table(n)
-    lines = [f"{c.to_binary()}\t{format_value(p)}\t{cpf.name}" for c, p in rows]
+    lines = [f"{code:b}\t{format_value(p)}\t{cpf.name}"
+             for code, (_, p) in enumerate(rows, start=1 << (n - 1))]
     total = sum(p for _, p in rows)
     lines.append(f"# total\t{format_value(total)}")
     return lines
@@ -41,8 +41,9 @@ def cpf_table_tree(cpf, n: int) -> dict:
     return {
         "family": cpf.name,
         "n": n,
-        "rows": [{"composition": str(c), "binary": c.to_binary(),
-                  "probability": format_value(p)} for c, p in rows],
+        "rows": [{"composition": str(c), "binary": format(code, "b"),
+                  "probability": format_value(p)}
+                 for code, (c, p) in enumerate(rows, start=1 << (n - 1))],
         "total": format_value(sum(p for _, p in rows)),
     }
 
@@ -51,19 +52,19 @@ def count_table_lines(counts, expected_probs, n: int) -> list:
     """Rows: binary code, count, expected, standardized residual."""
     total = int(sum(counts))
     lines = []
-    for c, cnt, p in zip(enumerate_compositions(n), counts, expected_probs):
+    for code, cnt, p in zip(range(1 << (n - 1), 1 << n), counts, expected_probs):
         exp = total * float(p)
         resid = (cnt - exp) / exp ** 0.5 if exp > 0 else 0.0
-        lines.append(f"{c.to_binary()}\t{int(cnt)}\t{exp:.6f}\t{resid:+.3f}")
+        lines.append(f"{code:b}\t{int(cnt)}\t{exp:.6f}\t{resid:+.3f}")
     return lines
 
 
 def count_table_tree(counts, expected_probs, n: int) -> dict:
     total = int(sum(counts))
     rows = []
-    for c, cnt, p in zip(enumerate_compositions(n), counts, expected_probs):
+    for code, cnt, p in zip(range(1 << (n - 1), 1 << n), counts, expected_probs):
         exp = total * float(p)
-        rows.append({"binary": c.to_binary(), "count": int(cnt),
+        rows.append({"binary": format(code, "b"), "count": int(cnt),
                      "expected": exp,
                      "residual": (cnt - exp) / exp ** 0.5 if exp > 0 else 0.0})
     return {"n": n, "draws": total, "rows": rows}

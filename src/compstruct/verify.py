@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .composition import Composition, enumerate_compositions
+from .composition import enumerate_compositions
 from .laws import Cpf, DecrementMatrixPair
-from .ratmath import close, is_exact
+from .ratmath import close, is_exact, over_common_denominator
 from .structural import last_part_law, size_biased_part_law, structural_moments
 
 __all__ = [
@@ -59,37 +59,69 @@ def _run_identity(name, scope, pairs):
                        mode="exact" if exact else "float")
 
 
+def _level_pairs(cpf: Cpf, n_max: int):
+    """(n, level n-1, level n) for n = 2..n_max.
+
+    A level holds the values of the compositions of n in code order: index
+    i holds code 2^(n-1) + i.  Each level is read from the CPF once.
+    """
+    lower = None
+    for n in range(2, n_max + 1):
+        if lower is None:
+            lower = [cpf(c) for c in enumerate_compositions(n - 1)]
+        upper = [cpf(c) for c in enumerate_compositions(n)]
+        yield n, lower, upper
+        lower = upper
+
+
 def check_right_consistency(cpf: Cpf, n_max: int) -> CheckReport:
-    """p(lam) = p(.., lam_l + 1) + p(.., lam_l, 1) for all |lam| < n_max."""
+    """p(lam) = p(.., lam_l + 1) + p(.., lam_l, 1) for all |lam| < n_max.
+
+    Growing the last part of a code appends a 0 and opening a part appends
+    a 1: index i of level n-1 is compared with indices 2i and 2i+1 of level n.
+    """
 
     def pairs():
-        for n in range(1, n_max):
-            for c in enumerate_compositions(n):
-                grown = Composition(c.parts[:-1] + (c.last_part + 1,))
-                appended = Composition(c.parts + (1,))
-                yield c, cpf(c), cpf(grown) + cpf(appended)
+        for n, lower, upper in _level_pairs(cpf, n_max):
+            for i, lam in enumerate(enumerate_compositions(n - 1)):
+                yield lam, lower[i], upper[2 * i] + upper[2 * i + 1]
 
     return _run_identity("right-consistency", f"{cpf.name}, n<{n_max}", pairs())
 
 
 def check_uniform_consistency(cpf: Cpf, n_max: int) -> CheckReport:
-    """p(lam) = sum_mu p(mu) kappa(mu, lam) under uniform ball deletion."""
+    """p(lam) = sum_mu p(mu) kappa(mu, lam) under uniform ball deletion.
+
+    Every ball of a part deletes to the same composition, the one whose code
+    lacks the binary digit of the part's last ball, so each part of mu adds
+    p(mu) times its size to that code.  A level of rationals is put over one
+    common denominator D and summed in ints, each sum reduced once as
+    s / (n D); a level holding a float sums its raw values in code order,
+    parts left to right.
+    """
 
     def pairs():
-        for n in range(2, n_max + 1):
-            # sums[lam] = n * sum_mu p(mu) kappa(mu, lam); every ball of a
-            # part deletes to the same composition
-            sums = {}
-            for mu in enumerate_compositions(n):
-                p_mu = cpf(mu)
-                pos = 0
-                for part in mu.parts:
-                    pos += part
-                    lam = mu.delete_ball(pos)
-                    sums[lam] = sums.get(lam, 0) + p_mu * part
-            for lam in enumerate_compositions(n - 1):
-                s = sums.get(lam, 0)
-                yield lam, cpf(lam), Fraction(s, n) if is_exact(s) else s / n
+        for n, lower, values in _level_pairs(cpf, n_max):
+            common = over_common_denominator(values)
+            weights = values if common is None else common[0]
+            base = 1 << (n - 2)  # code of index 0 of level n-1
+            sums = [0] * base
+            for c, w in enumerate(weights, start=2 * base):
+                rest, top = c, n - 1  # top: the digit of the part's first ball
+                while rest:
+                    rest ^= 1 << top
+                    nxt = rest.bit_length() - 1  # the next part's first ball, or -1
+                    p = nxt + 1  # the part's last ball: delete digit p
+                    j = (c >> (p + 1) << p | c & ((1 << p) - 1)) - base
+                    sums[j] = sums[j] + w * (top - nxt)
+                    top = nxt
+            for j, lam in enumerate(enumerate_compositions(n - 1)):
+                s = sums[j]
+                if common is not None:
+                    rhs = Fraction(s, n * common[1])
+                else:
+                    rhs = Fraction(s, n) if is_exact(s) else s / n
+                yield lam, lower[j], rhs
 
     return _run_identity("uniform-consistency", f"{cpf.name}, n<={n_max}", pairs())
 

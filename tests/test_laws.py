@@ -649,6 +649,7 @@ INF, NAN = float("inf"), float("nan")
                  id="sample_partition_batch-n=0"),
     pytest.param(lambda: codes_to_counts([1], 0), id="codes_to_counts-n=0"),
     pytest.param(lambda: codes_to_counts([1], 64), id="codes_to_counts-n=64"),
+    pytest.param(lambda: codes_to_counts([1 << 16], 17), id="codes_to_counts-n=17"),
     *(pytest.param(lambda op=op: op(ScaleInvariantSet(1.0, RngStream(1)), 0, RngStream(1)),
                    id=f"{op.__name__}-n=0")
       for op in (uniform_sampling_composition, poisson_sampling_composition)),
