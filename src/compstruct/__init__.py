@@ -5,7 +5,7 @@ numpy.  The sampling names below load ``compstruct.stochastic``, and numpy
 with it, on first access, so a process that never samples never pays for it.
 """
 
-from .composition import (EMPTY, MAX_ENUM_N, Composition, Partition,
+from .composition import (MAX_ENUM_N, Composition, Partition,
                           enumerate_compositions, enumerate_partitions)
 from .laws import (Cpf, DecrementMatrix, DecrementMatrixPair, LevySpec,
                    MeanderLaw, beta_meander, ewens_cpf, fragment_cpf,

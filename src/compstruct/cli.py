@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import tables
-from .composition import MAX_ENUM_N, Partition, enumerate_compositions
+from .composition import MAX_ENUM_N, Partition
 from .laws import (Cpf, DecrementMatrix, DecrementMatrixPair, ewens_pair, fragment_cpf,
                    markov_cpf, renewal_pair, two_param_stationary_pair)
 from .ratmath import close, parse_scalar
@@ -131,8 +131,12 @@ def _emit(args, text_lines, tree):
         out = Path(args.output)
         if not out.is_absolute() and os.environ.get("COMPSTRUCT_OUTDIR"):
             out = Path(os.environ["COMPSTRUCT_OUTDIR"]) / out
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(body + "\n")
+        try:
+            out.parent.mkdir(parents=True, exist_ok=True)
+            out.write_text(body + "\n")
+        except OSError as exc:
+            raise CliError(f"cannot write output {out}: {exc.strerror}",
+                           EXIT_BAD_PARAMS) from None
     else:
         print(body)
 
@@ -225,8 +229,8 @@ def cmd_reconstruct(args):
     if args.roundtrip_family:
         ref = build_cpf(args.roundtrip_family, _scalar(args.alpha), _scalar(args.theta),
                         args.matrix_file)
-        ok = all(close(cpf(c), ref(c)) for m in range(1, table_n + 1)
-                 for c in enumerate_compositions(m))
+        ok = all(close(a, b) for m in range(1, table_n + 1)
+                 for a, b in zip(cpf.values(m), ref.values(m)))
 
     def lines():
         out = (["# q"] + [f"q\t{ln}" for ln in tables.matrix_lines(pair.q, N)]

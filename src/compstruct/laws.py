@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .composition import Composition, Partition, enumerate_compositions
+from .composition import Composition, Partition, _codes, enumerate_compositions
 from .ratmath import FLOAT_TOL, binom, factorial, is_exact, rising_ratio
 
 __all__ = [
@@ -60,30 +60,49 @@ __all__ = [
 class Cpf:
     """A law over compositions of every n, evaluable exactly or in floats.
 
-    Each value is computed once per instance: ``evaluate`` must be a pure
-    function of the composition, and ``__call__`` memoises its values by
-    parts.  A table of n keeps 2^(n-1) values alive as long as the instance.
+    ``level(n)`` is the law at n in code order (index i holds code 2^(n-1) + i):
+    int nums over one int den if every value is rational, else (values, None).
+    It is built once, by ``build`` or else by ``evaluate`` on each code.
     """
 
     name: str
-    evaluate: Callable[[Composition], object]
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    evaluate: Optional[Callable[[Composition], object]]
+    build: Optional[Callable[[int], tuple]] = field(default=None, compare=False)
+    _levels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __call__(self, comp: Composition):
-        try:
-            return self._memo[comp.parts]
-        except KeyError:
-            pass
-        val = self._memo[comp.parts] = self.evaluate(comp)
-        return val
+        """One value: ``evaluate(comp)``, or without ``evaluate`` read off its level."""
+        if self.evaluate is not None:
+            return self.evaluate(comp)
+        nums, den = self.level(comp.n)
+        v = nums[comp.code - (1 << (comp.n - 1))]
+        return v if den is None else Fraction(v, den)
+
+    def level(self, n: int) -> tuple:
+        """(nums, den) of level n, for n <= ``MAX_ENUM_N``."""
+        if n not in self._levels:
+            codes = _codes(n)
+            nums, den = self.build(n) if self.build else (
+                [self.evaluate(Composition.from_code(c, n)) for c in codes], None)
+            if den is None and is_exact(*nums):  # over the lcm of the denominators
+                den = math.lcm(*(v.denominator for v in nums))
+                nums = [v.numerator * (den // v.denominator) for v in nums]
+            self._levels[n] = tuple(nums), den
+        return self._levels[n]
+
+    def values(self, n: int) -> list:
+        """Level n read as values: Fractions over its den, or as they are."""
+        nums, den = self.level(n)
+        return list(nums) if den is None else [Fraction(x, den) for x in nums]
 
     def table(self, n: int):
         """(composition, probability) pairs in deterministic code order."""
-        return [(c, self(c)) for c in enumerate_compositions(n)]
+        return list(zip(enumerate_compositions(n), self.values(n)))
 
     def float_probs(self, n: int):
         """Probabilities in code order as floats (for sampling/chi-square)."""
-        return [float(self(c)) for c in enumerate_compositions(n)]
+        nums, den = self.level(n)  # int / int rounds as float(Fraction) does
+        return [float(v) for v in nums] if den is None else [x / den for x in nums]
 
 
 # ---------------------------------------------------------------------------
@@ -198,36 +217,41 @@ def _two_param_q(alpha, theta) -> DecrementMatrix:
 def markov_cpf(dm: DecrementMatrixPair) -> Cpf:
     """Product-formula CPF: p(lam) = q*(n:lam_l) prod_{k<l} q(Lam_k:lam_k).
 
-    Every composition extending a prefix mu shares its head product
-    H(mu) = prod_k q(M_k:mu_k), so H is memoised per prefix in this closure,
-    H(mu) = H(mu minus its last part) q(|mu|:mu_last), and p(lam) =
-    q*(n:lam_l) H(lam_1..lam_{l-1}).  A table of n then costs about 2^n
-    multiplications.  Exact values are those of the plain left fold; float
-    values may differ from it in the last bits.
+    A call reads q*(n:lam_l), then folds the head product left to right.  A
+    level extends each head once: code c has last part r = (c & -c).bit_length()
+    and head c >> r.  Rational rows m go over their lcms D_m, so the level is
+    ints over D_1 ... D_{n-1} D*_n; a float keeps the raw entries and order.
     """
     return _product_cpf(dm)
 
 
 def _product_cpf(dm: DecrementMatrixPair) -> Cpf:
     """``markov_cpf`` for the family CPFs, which call no public function."""
-    heads = {(): 1}
-
-    def head(mu):
-        # the longest memoised prefix of mu, extended one part at a time
-        k = len(mu)
-        while mu[:k] not in heads:
-            k -= 1
-        val, total = heads[mu[:k]], sum(mu[:k])
-        for j in range(k, len(mu)):
-            total += mu[j]
-            val = val * dm.q(total, mu[j])
-            heads[mu[:j + 1]] = val
-        return val
 
     def ev(comp):
-        return dm.qstar(comp.n, comp.last_part) * head(comp.parts[:-1])
+        val, head, total = dm.qstar(comp.n, comp.last_part), 1, 0
+        for part in comp.parts[:-1]:
+            total += part
+            head = head * dm.q(total, part)
+        return val * head
 
-    return Cpf(name=dm.cpf_name, evaluate=ev)
+    def build(n):
+        top = dm.qstar.row(n)  # first: a missing q* row is the error a call gives
+        rows = [dm.q.row(m) for m in range(1, n)] + [top]
+        exact = is_exact(*(v for row in rows for v in row))
+        heads, prods = [1], [1]  # heads by code, 0 the empty one; prods D_1 ... D_k
+        for m, row in enumerate(rows, start=1):
+            if exact:  # a head of total m - r grows by r and gains D_{m-r+1} ... D_m
+                d = math.lcm(*(v.denominator for v in row))
+                row = [v.numerator * (d // v.denominator) * (prods[-1] // prods[m - r])
+                       for r, v in enumerate(row, start=1)]
+                prods.append(prods[-1] * d)
+            for c in range(1 << (m - 1), 1 << m):
+                r = (c & -c).bit_length()
+                heads.append(heads[c >> r] * row[r - 1])
+        return heads[1 << (n - 1):], prods[-1] if exact else None
+
+    return Cpf(name=dm.cpf_name, evaluate=ev, build=build)
 
 
 def fragment_cpf(outer: DecrementMatrixPair, inner: Cpf) -> Cpf:
@@ -235,8 +259,10 @@ def fragment_cpf(outer: DecrementMatrixPair, inner: Cpf) -> Cpf:
 
     The product formula of ``outer`` factorises over the segment boundaries:
     F(0) = 1, F(j) = sum_{i<j} F(i) q(Lam_j : Lam_j - Lam_i) inner(lam_{i+1..j})
-    and p''(lam) = sum_{i<l} F(i) q*(n : n - Lam_i) inner(lam_{i+1..l}).  F is
-    memoised per prefix, so a table of n costs about n 2^n terms, not 3^(n-1).
+    and p''(lam) = sum_{i<l} F(i) q*(n : n - Lam_i) inner(lam_{i+1..l}).  A
+    boundary is a 1 digit of the code: F is read off its own levels at the
+    digits above it, inner at the digits from it down, and the terms are
+    summed in the order of i.  A level of n costs about n 2^n terms.
 
     For 0 < alpha < 1 and alpha < theta, fragmenting ``ewens_pair(theta -
     alpha)`` by the forward ``renewal_cpf(alpha)`` gives the stationary
@@ -245,25 +271,24 @@ def fragment_cpf(outer: DecrementMatrixPair, inner: Cpf) -> Cpf:
     """
     if not isinstance(outer, DecrementMatrixPair):
         raise TypeError(f"outer must be a DecrementMatrixPair, got {type(outer).__name__}")
-    prefixes = {(): 1}  # F per prefix lam_1..lam_j
 
-    def boundary_sum(parts, matrix):
-        # sum over the last boundary i < len(parts), the segment parts[i:]
-        # drawn by matrix(n : n - Lam_i) from the top n = sum(parts)
-        n, lam_i, total = sum(parts), 0, 0
-        for i, part in enumerate(parts):
-            total = total + (prefix_value(parts[:i]) * matrix(n, n - lam_i)
-                             * inner(Composition(parts[i:])))
-            lam_i += part
-        return total
+    def boundary_level(n, matrix):
+        row = [None] + matrix.row(n)  # row[m] = matrix(n : m), m balls past the boundary
+        heads = [1] + [v for k in range(1, n) for v in prefix.values(k)]  # by code
+        tails = [None] + [v for m in range(1, n + 1) for v in inner.values(m)]
+        nums = []
+        for c in _codes(n):
+            total, rest = 0, c
+            while rest:
+                m = rest.bit_length()  # a part starts at digit m - 1
+                total = total + heads[c >> m] * row[m] * tails[c & ((1 << m) - 1)]
+                rest ^= 1 << (m - 1)
+            nums.append(total)
+        return nums, None
 
-    def prefix_value(mu):
-        if mu not in prefixes:
-            prefixes[mu] = boundary_sum(mu, outer.q)
-        return prefixes[mu]
-
-    return Cpf(name=f"fragment[{outer.cpf_name}|{inner.name}]",
-               evaluate=lambda comp: boundary_sum(comp.parts, outer.qstar))
+    prefix = Cpf("F", None, build=lambda n: boundary_level(n, outer.q))
+    return Cpf(f"fragment[{outer.cpf_name}|{inner.name}]", None,
+               build=lambda n: boundary_level(n, outer.qstar))
 
 
 # ---------------------------------------------------------------------------

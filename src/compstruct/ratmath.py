@@ -30,18 +30,6 @@ def close(a, b) -> bool:
     return abs(a - b) <= FLOAT_TOL
 
 
-def over_common_denominator(values):
-    """(nums, D) with values[i] == nums[i] / D for D the lcm of the denominators.
-
-    Sums of values then run as int additions, each reduced once at the end.
-    None when any value is not rational (int or Fraction).
-    """
-    if not is_exact(*values):
-        return None
-    d = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (d // v.denominator) for v in values], d
-
-
 def parse_scalar(text: str):
     """CLI-boundary parser: 'p/q' stays exact, a decimal forces float mode."""
     text = text.strip()

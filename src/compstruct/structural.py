@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .composition import Composition, enumerate_compositions
+from .composition import Composition
 from .laws import Cpf, DecrementMatrix, DecrementMatrixPair, markov_cpf
-from .ratmath import binom, close, is_exact, over_common_denominator
+from .ratmath import binom, close, is_exact
 
 __all__ = [
     "StructuralMoments",
@@ -109,19 +109,16 @@ def deletion_law(mu_row_n: Sequence, mu_row_prev: Sequence) -> list:
 
 
 def last_part_law(cpf: Cpf, n: int) -> list:
-    """P(L_n = r), r = 1..n, by enumeration of all compositions of n.
+    """P(L_n = r), r = 1..n, summed over level n in code order.
 
-    The last part of code c is (c & -c).bit_length().  Rational values are
-    summed in ints over one common denominator D, each sum reduced once as
-    s / D; values with a float are summed as they are, in code order.
+    The last part of code c is (c & -c).bit_length().  A rational level sums
+    its int nums, each sum reduced once as s / D.
     """
-    values = [cpf(c) for c in enumerate_compositions(n)]
-    common = over_common_denominator(values)
+    nums, den = cpf.level(n)
     law = [0] * n
-    for c, w in enumerate(values if common is None else common[0], start=1 << (n - 1)):
-        r = (c & -c).bit_length()
-        law[r - 1] = law[r - 1] + w
-    return law if common is None else [Fraction(s, common[1]) for s in law]
+    for c, w in enumerate(nums, start=1 << (n - 1)):
+        law[(c & -c).bit_length() - 1] += w
+    return law if den is None else [Fraction(s, den) for s in law]
 
 
 def size_biased_part_law(moments: StructuralMoments, n: int) -> list:

@@ -26,25 +26,34 @@ def parse_value(text: str):
     return parse_scalar(text)
 
 
+def _cpf_rows(cpf, n):
+    """(code, value) pairs of level n in code order, and their total."""
+    nums, den = cpf.level(n)
+    total = sum(nums) if den is None else Fraction(sum(nums), den)
+    return enumerate(cpf.values(n), start=1 << (n - 1)), total
+
+
+def _parts_text(code: int) -> str:
+    """The composition of a code as "3,1,2": each part is a 1 and its 0s."""
+    return ",".join(str(len(zeros) + 1) for zeros in format(code, "b")[1:].split("1"))
+
+
 def cpf_table_lines(cpf, n: int) -> list:
     """Rows: binary code, probability, family tag; normalization line last."""
-    rows = cpf.table(n)
-    lines = [f"{code:b}\t{format_value(p)}\t{cpf.name}"
-             for code, (_, p) in enumerate(rows, start=1 << (n - 1))]
-    total = sum(p for _, p in rows)
+    rows, total = _cpf_rows(cpf, n)
+    lines = [f"{code:b}\t{format_value(p)}\t{cpf.name}" for code, p in rows]
     lines.append(f"# total\t{format_value(total)}")
     return lines
 
 
 def cpf_table_tree(cpf, n: int) -> dict:
-    rows = cpf.table(n)
+    rows, total = _cpf_rows(cpf, n)
     return {
         "family": cpf.name,
         "n": n,
-        "rows": [{"composition": str(c), "binary": format(code, "b"),
-                  "probability": format_value(p)}
-                 for code, (c, p) in enumerate(rows, start=1 << (n - 1))],
-        "total": format_value(sum(p for _, p in rows)),
+        "rows": [{"composition": _parts_text(code), "binary": format(code, "b"),
+                  "probability": format_value(p)} for code, p in rows],
+        "total": format_value(total),
     }
 
 

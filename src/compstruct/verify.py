@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .composition import enumerate_compositions
+from .composition import Composition
 from .laws import Cpf, DecrementMatrixPair
-from .ratmath import close, is_exact, over_common_denominator
+from .ratmath import close, is_exact
 from .structural import last_part_law, size_biased_part_law, structural_moments
 
 __all__ = [
@@ -46,32 +46,34 @@ class CheckReport:
 
 
 def _run_identity(name, scope, pairs):
-    """pairs yields (witness, lhs, rhs); passes iff every pair is ``close``,
-    with the failing pair of largest |lhs - rhs| as witness."""
+    """pairs yields (key, lhs, rhs); passes iff every pair is ``close``, with the
+    failing pair of largest |lhs - rhs| as worst, an int key shown as a composition."""
     worst, worst_gap, exact = None, 0, True
-    for witness, lhs, rhs in pairs:
+    for key, lhs, rhs in pairs:
         exact = exact and is_exact(lhs, rhs)
         if not close(lhs, rhs):
             gap = abs(lhs - rhs)
             if worst is None or gap > worst_gap:
-                worst, worst_gap = (witness, lhs, rhs), gap
+                worst, worst_gap = (key, lhs, rhs), gap
+    if worst is not None and isinstance(worst[0], int):
+        worst = (Composition.from_code(worst[0], worst[0].bit_length()),) + worst[1:]
     return CheckReport(name=name, scope=scope, passed=worst is None, worst=worst,
                        mode="exact" if exact else "float")
 
 
-def _level_pairs(cpf: Cpf, n_max: int):
-    """(n, level n-1, level n) for n = 2..n_max.
-
-    A level holds the values of the compositions of n in code order: index
-    i holds code 2^(n-1) + i.  Each level is read from the CPF once.
-    """
-    lower = None
-    for n in range(2, n_max + 1):
-        if lower is None:
-            lower = [cpf(c) for c in enumerate_compositions(n - 1)]
-        upper = [cpf(c) for c in enumerate_compositions(n)]
-        yield n, lower, upper
-        lower = upper
+def _against_lower(cpf: Cpf, n: int, fold, k: int):
+    """(code, p(lam), s / k) over the codes lam of n-1, s = fold(level n)[index]: two
+    rational levels fold their int nums and compare by cross-multiplying, yielding
+    only the pairs that differ; else both levels are read as values."""
+    (lower, d_lower), (upper, d) = cpf.level(n - 1), cpf.level(n)
+    codes = range(1 << (n - 2), 1 << (n - 1))
+    if d_lower is None or d is None:
+        for c, v, s in zip(codes, cpf.values(n - 1), fold(cpf.values(n))):
+            yield c, v, s if k == 1 else Fraction(s, k) if is_exact(s) else s / k
+        return
+    for c, v, s in zip(codes, lower, fold(upper)):
+        if v * k * d != s * d_lower:
+            yield c, Fraction(v, d_lower), Fraction(s, k * d)
 
 
 def check_right_consistency(cpf: Cpf, n_max: int) -> CheckReport:
@@ -80,13 +82,9 @@ def check_right_consistency(cpf: Cpf, n_max: int) -> CheckReport:
     Growing the last part of a code appends a 0 and opening a part appends
     a 1: index i of level n-1 is compared with indices 2i and 2i+1 of level n.
     """
-
-    def pairs():
-        for n, lower, upper in _level_pairs(cpf, n_max):
-            for i, lam in enumerate(enumerate_compositions(n - 1)):
-                yield lam, lower[i], upper[2 * i] + upper[2 * i + 1]
-
-    return _run_identity("right-consistency", f"{cpf.name}, n<{n_max}", pairs())
+    pairs = (pair for n in range(2, n_max + 1) for pair in _against_lower(
+        cpf, n, lambda upper: [a + b for a, b in zip(upper[::2], upper[1::2])], 1))
+    return _run_identity("right-consistency", f"{cpf.name}, n<{n_max}", pairs)
 
 
 def check_uniform_consistency(cpf: Cpf, n_max: int) -> CheckReport:
@@ -94,36 +92,23 @@ def check_uniform_consistency(cpf: Cpf, n_max: int) -> CheckReport:
 
     Every ball of a part deletes to the same composition, the one whose code
     lacks the binary digit of the part's last ball, so each part of mu adds
-    p(mu) times its size to that code.  A level of rationals is put over one
-    common denominator D and summed in ints, each sum reduced once as
-    s / (n D); a level holding a float sums its raw values in code order,
-    parts left to right.
+    p(mu) times its size to that code; the sum is then divided by n.  Values
+    with a float are summed in code order.
     """
 
-    def pairs():
-        for n, lower, values in _level_pairs(cpf, n_max):
-            common = over_common_denominator(values)
-            weights = values if common is None else common[0]
-            base = 1 << (n - 2)  # code of index 0 of level n-1
-            sums = [0] * base
-            for c, w in enumerate(weights, start=2 * base):
-                rest, top = c, n - 1  # top: the digit of the part's first ball
-                while rest:
-                    rest ^= 1 << top
-                    nxt = rest.bit_length() - 1  # the next part's first ball, or -1
-                    p = nxt + 1  # the part's last ball: delete digit p
-                    j = (c >> (p + 1) << p | c & ((1 << p) - 1)) - base
-                    sums[j] = sums[j] + w * (top - nxt)
-                    top = nxt
-            for j, lam in enumerate(enumerate_compositions(n - 1)):
-                s = sums[j]
-                if common is not None:
-                    rhs = Fraction(s, n * common[1])
-                else:
-                    rhs = Fraction(s, n) if is_exact(s) else s / n
-                yield lam, lower[j], rhs
+    def fold(weights):
+        half = len(weights) // 2  # code of index 0 of level n-1
+        sums = [0] * half
+        for c, w in enumerate(weights, start=2 * half):
+            rest, p = c, 0  # p: the digit of the last ball of the last part left
+            while rest:
+                r = (rest & -rest).bit_length()
+                sums[(c >> (p + 1) << p | c & ((1 << p) - 1)) - half] += w * r
+                rest, p = rest >> r, p + r
+        return sums
 
-    return _run_identity("uniform-consistency", f"{cpf.name}, n<={n_max}", pairs())
+    pairs = (pair for n in range(2, n_max + 1) for pair in _against_lower(cpf, n, fold, n))
+    return _run_identity("uniform-consistency", f"{cpf.name}, n<={n_max}", pairs)
 
 
 def check_decrement_recursions(dm: DecrementMatrixPair, n_max: int) -> CheckReport:

@@ -4,7 +4,8 @@ Each check walks the compositions of every level, builds the grown, appended
 or ball-deleted ``Composition`` it compares with, and adds the values one at
 a time in code order.  ``compstruct.verify`` and ``compstruct.structural``
 compute the same sums on code-indexed levels; for every CPF the two give
-reports whose strings are equal.
+reports whose strings are equal.  Ball deletion on compositions lives here,
+with the oracle that is its only caller.
 """
 
 from fractions import Fraction
@@ -13,6 +14,46 @@ from compstruct.composition import Composition, enumerate_compositions
 from compstruct.ratmath import is_exact
 from compstruct.structural import size_biased_part_law, structural_moments
 from compstruct.verify import _run_identity
+
+
+class EmptyComposition:
+    """Sentinel for the result of deleting the only ball (n = 0)."""
+
+    _instance = None
+
+    def __new__(cls):
+        if cls._instance is None:
+            cls._instance = super().__new__(cls)
+        return cls._instance
+
+    def __repr__(self):
+        return "EMPTY"
+
+
+EMPTY = EmptyComposition()
+
+
+def delete_ball(comp, pos):
+    """Remove the ball at place ``pos`` (1-based) of ``comp``; empty boxes vanish.
+
+    Returns EMPTY when the composition had a single ball.
+    """
+    n = comp.n
+    if not 1 <= pos <= n:
+        raise ValueError(f"ball position {pos} out of range [1, {n}]")
+    if n == 1:
+        return EMPTY
+    parts = list(comp.parts)
+    acc = 0
+    for i, p in enumerate(parts):
+        if pos <= acc + p:
+            if p == 1:
+                del parts[i]
+            else:
+                parts[i] = p - 1
+            return Composition(tuple(parts))
+        acc += p
+    raise AssertionError("unreachable")
 
 
 def check_right_consistency(cpf, n_max):
@@ -41,7 +82,7 @@ def check_uniform_consistency(cpf, n_max):
                 pos = 0
                 for part in mu.parts:
                     pos += part
-                    lam = mu.delete_ball(pos)
+                    lam = delete_ball(mu, pos)
                     sums[lam] = sums.get(lam, 0) + p_mu * part
             for lam in enumerate_compositions(n - 1):
                 s = sums.get(lam, 0)

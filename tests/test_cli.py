@@ -127,6 +127,17 @@ class TestCpfCommand:
         assert code == 0 and out == ""
         assert "1/3" in (tmp_path / "table.txt").read_text()
 
+    def test_unwritable_output_exit2(self, capsys, tmp_path):
+        # exit 1 means a failed check: an --output that cannot be written
+        # is a bad parameter, named in the message
+        parent = tmp_path / "a-file"
+        parent.write_text("")
+        out = parent / "table.txt"
+        code, stdout, err = run(capsys, "cpf", "--family", "ewens", "--theta", "1",
+                                "--n", "3", "--output", str(out))
+        assert (code, stdout) == (2, "")
+        assert err.startswith("error: cannot write output") and str(out) in err
+
 
     def test_renewal_reversed_table(self, capsys):
         # the forward n = 3 table read through reversed compositions

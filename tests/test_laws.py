@@ -8,8 +8,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from compstruct.composition import Composition, Partition, enumerate_compositions
-from compstruct.laws import (Cpf, DecrementMatrixPair, LevySpec, beta_meander,
-                             ewens_cpf, ewens_pair, levy_exponent,
+from compstruct.laws import (Cpf, DecrementMatrix, DecrementMatrixPair, LevySpec,
+                             beta_meander, ewens_cpf, ewens_pair, levy_exponent,
                              markov_cpf, meander_moments,
                              partition_law, polya_q, potential_from_levy,
                              renewal_cpf, renewal_pair, sibi_cpf,
@@ -540,12 +540,19 @@ def test_closed_form_pair_equals_levy_sum_property(params):
 
 
 def _left_fold(pair, comp):
-    """p(lam) = q*(n:lam_l) prod_{k<l} q(Lam_k:lam_k), multiplied left to right."""
-    val = pair.qstar(comp.n, comp.last_part)
+    """p(lam) = prod_{k<l} q(Lam_k:lam_k) q*(n:lam_l), multiplied left to right."""
+    val = 1
     sums = comp.partial_sums()
     for k in range(comp.num_parts - 1):
         val = val * pair.q(sums[k], comp.parts[k])
-    return val
+    return val * pair.qstar(comp.n, comp.last_part)
+
+
+def _mixed_pair(pair):
+    """q rows past 2 as floats, q* exact: a level of n >= 5 mixes both modes."""
+    q = DecrementMatrix("q[mixed]", lambda n, r: pair.q(n, r) if n <= 2
+                        else float(pair.q(n, r)))
+    return DecrementMatrixPair(q=q, qstar=pair.qstar, label="mixed")
 
 
 @settings(max_examples=10, deadline=None)
@@ -556,16 +563,27 @@ def test_memoised_markov_cpf_equals_left_fold_property(params, rnd):
     pair = two_param_stationary_pair(a, t)
     control = DecrementMatrixPair(q=pair.q, qstar=pair.q, label="control")
     rebuilt, rebuilt_cpf = reconstruct_markov(structural_moments(markov_cpf(pair), 9))
+    mixed = _mixed_pair(pair)
     comps = [c for n in range(1, 9) for c in enumerate_compositions(n)]
     for dm, p in ((pair, markov_cpf(pair)), (control, markov_cpf(control)),
-                  (rebuilt, rebuilt_cpf)):
+                  (rebuilt, rebuilt_cpf), (mixed, markov_cpf(mixed))):
         # any call order must give the left fold, bit for bit
         rnd.shuffle(comps)
         for c in comps:
             got, want = p(c), _left_fold(dm, c)
             assert type(got) is type(want) and got == want, (dm.label, c)
-        # a second pass reads the memo
+        # a second pass gives the same values
         assert all(p(c) == _left_fold(dm, c) for c in comps[:20])
+        # each level, read as values, is the left fold in code order
+        for n in range(1, 9):
+            for c, got in zip(enumerate_compositions(n), p.values(n)):
+                want = _left_fold(dm, c)
+                assert type(got) is type(want) and got == want, (dm.label, c)
+
+
+def test_level_is_capped():
+    with pytest.raises(ValueError, match="n = 17 exceeds enumeration cap 16"):
+        ewens_cpf(1).level(17)
 
 
 class TestMemo:

@@ -419,6 +419,18 @@ class TestFragmentation:
                         want = _enumerated_fragment(oracle, inner, c)
                         assert abs(frag(c) - want) <= 1e-12 * abs(want), (inner.name, c)
 
+    def test_level_equals_per_composition_values(self):
+        # the level's boundary sums on codes give each composition's value,
+        # the segmentation sum, in value and type
+        outer = _outer_pairs()["stationary"]
+        for inner in (renewal_cpf(F(1, 2)), renewal_cpf(0.5, reversed_=True)):
+            frag, oracle = fragment_cpf(outer, inner), markov_cpf(outer)
+            for n in range(1, 9):
+                for c, got in zip(enumerate_compositions(n), frag.values(n)):
+                    want = _enumerated_fragment(oracle, inner, c)
+                    assert type(got) is type(want) and got == frag(c), (inner.name, c)
+                    assert got == want if type(want) is F else abs(got - want) <= 1e-12 * want
+
     def test_outer_must_be_a_pair(self):
         with pytest.raises(TypeError, match="DecrementMatrixPair"):
             fragment_cpf(ewens_cpf(1), renewal_cpf(F(1, 2)))
