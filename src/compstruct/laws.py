@@ -24,7 +24,8 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .composition import Composition, Partition, _codes, enumerate_compositions
-from .ratmath import FLOAT_TOL, binom, factorial, is_exact, rising_ratio
+from .ratmath import (FLOAT_TOL, _over_lcm, _rising_num, binom, factorial, is_exact,
+                      rising_ratio)
 
 __all__ = [
     "Cpf",
@@ -81,12 +82,11 @@ class Cpf:
     def level(self, n: int) -> tuple:
         """(nums, den) of level n, for n <= ``MAX_ENUM_N``."""
         if n not in self._levels:
-            codes = _codes(n)
+            _codes(n)  # refuses n past the cap
             nums, den = self.build(n) if self.build else (
-                [self.evaluate(Composition.from_code(c, n)) for c in codes], None)
-            if den is None and is_exact(*nums):  # over the lcm of the denominators
-                den = math.lcm(*(v.denominator for v in nums))
-                nums = [v.numerator * (den // v.denominator) for v in nums]
+                [self.evaluate(c) for c in enumerate_compositions(n)], None)
+            if den is None:
+                nums, den = _over_lcm(nums) or (nums, None)
             self._levels[n] = tuple(nums), den
         return self._levels[n]
 
@@ -204,8 +204,17 @@ def _two_param_q(alpha, theta) -> DecrementMatrix:
     # q(n:r) = C(n,r) (1-alpha)_{r-1} / (theta+n-r)_r * ((n-r) alpha + r theta) / n.
     # Split off the first factor of (theta+n-r)_r: the rest is
     # ((n-r) alpha + r theta) / (n (theta+n-r)), which is 1 at r = n, also in
-    # the theta -> 0 limit where it reads 0/0.
+    # the theta -> 0 limit where it reads 0/0.  For r < n and alpha = a/v,
+    # theta = c/d rational, the entry is one int ratio, reduced once.
+    exact = is_exact(alpha, theta)
+    if exact:
+        a, v, c, d = alpha.numerator, alpha.denominator, theta.numerator, theta.denominator
+
     def entry(n, r):
+        if exact and r < n:
+            top = (binom(n, r) * _rising_num(v - a, v, r - 1)
+                   * ((n - r) * a * d + r * c * v) * d ** (r - 1))
+            return Fraction(top, n * v ** r * _rising_num(c + (n - r) * d, d, r))
         val = rising_ratio(((1 - alpha, r - 1),), ((theta + n - r + 1, r - 1),), binom(n, r))
         if r == n:
             return val
@@ -238,13 +247,13 @@ def _product_cpf(dm: DecrementMatrixPair) -> Cpf:
     def build(n):
         top = dm.qstar.row(n)  # first: a missing q* row is the error a call gives
         rows = [dm.q.row(m) for m in range(1, n)] + [top]
-        exact = is_exact(*(v for row in rows for v in row))
+        ints = [_over_lcm(row) for row in rows]
+        exact = None not in ints
         heads, prods = [1], [1]  # heads by code, 0 the empty one; prods D_1 ... D_k
         for m, row in enumerate(rows, start=1):
             if exact:  # a head of total m - r grows by r and gains D_{m-r+1} ... D_m
-                d = math.lcm(*(v.denominator for v in row))
-                row = [v.numerator * (d // v.denominator) * (prods[-1] // prods[m - r])
-                       for r, v in enumerate(row, start=1)]
+                nums, d = ints[m - 1]
+                row = [x * (prods[-1] // prods[m - r]) for r, x in enumerate(nums, start=1)]
                 prods.append(prods[-1] * d)
             for c in range(1 << (m - 1), 1 << m):
                 r = (c & -c).bit_length()
@@ -414,12 +423,24 @@ def two_param_stationary_pair(alpha, theta) -> DecrementMatrixPair:
     """
     law = beta_meander(alpha, theta)  # first: its range error is two_param_levy's
     q = two_param_q(alpha, theta)
-    psi0 = {}  # Psi(n:0), shared by the n entries of q* row n
+    if is_exact(alpha, theta):  # alpha = a/v, theta = c/d: one int ratio per entry
+        a, v, c, d = alpha.numerator, alpha.denominator, theta.numerator, theta.denominator
 
-    def qstar_fn(n, m):
-        if n not in psi0:
-            psi0[n] = meander_moments(law, n, 0)
-        return psi0[n] * q(n, m) + meander_moments(law, n, m)
+        def qstar_fn(n, m):
+            # (1-alpha)_m = U_m / v^m, (theta)_k = T_k / d^k and (1-alpha+theta)_n
+            # = W_n / (v d)^n, so Psi(n:m) = C(n,m) U_m T_{n-m} v^(n-m) d^m / W_n
+            x = q(n, m)
+            top = (_rising_num(c, d, n) * v ** n * x.numerator
+                   + binom(n, m) * _rising_num(v - a, v, m) * _rising_num(c, d, n - m)
+                   * v ** (n - m) * d ** m * x.denominator)
+            return Fraction(top, _rising_num((v - a) * d + c * v, v * d, n) * x.denominator)
+    else:
+        psi0 = {}  # Psi(n:0), shared by the n entries of q* row n
+
+        def qstar_fn(n, m):
+            if n not in psi0:
+                psi0[n] = meander_moments(law, n, 0)
+            return psi0[n] * q(n, m) + meander_moments(law, n, m)
 
     return DecrementMatrixPair(q=q, qstar=DecrementMatrix(f"q*[{law.label}]", qstar_fn),
                                label=f"stationary[two-param({alpha},{theta})]")

@@ -31,11 +31,28 @@ def close(a, b) -> bool:
 
 
 def parse_scalar(text: str):
-    """CLI-boundary parser: 'p/q' stays exact, a decimal forces float mode."""
+    """CLI-boundary parser: 'p/q' stays exact, a decimal forces float mode.
+
+    An ASCII "[+-]digits/digits" is read by ``int``; any other text goes to
+    ``Fraction`` or ``float``, which accept and refuse the same strings.
+    """
     text = text.strip()
-    if "/" in text or ("." not in text and "e" not in text.lower()):
+    num, slash, den = text.partition("/")
+    if slash and text.isascii() and den.isdigit() and (
+            num[1:] if num[:1] in ("+", "-") else num).isdigit():
+        return Fraction(int(num), int(den))
+    if slash or ("." not in text and "e" not in text.lower()):
         return Fraction(text)
     return float(text)
+
+
+def _over_lcm(values):
+    """(nums, den): rational values as int nums over the lcm of their
+    denominators, or None when a value is not rational."""
+    if not is_exact(*values):
+        return None
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def binom(n: int, k: int):
@@ -61,7 +78,12 @@ def rising(x, k: int):
 def _rising_terms(x, k: int):
     """(x)_k of a rational x = a/b as the integer pair (prod (a + i b), b^k)."""
     a, b = x.numerator, x.denominator
-    return math.prod(a + i * b for i in range(k)), b ** k
+    return _rising_num(a, b, k), b ** k
+
+
+def _rising_num(a: int, b: int, k: int) -> int:
+    """prod (a + i b) over i < k: b^k (a/b)_k, an int."""
+    return math.prod(a + i * b for i in range(k))
 
 
 def rising_ratio(num, den, coef: int = 1):

@@ -7,8 +7,8 @@ deletion-size laws, potential functions, and the reconstruction of a
 self-similar Markov CPF from its moments alone.
 
 Block counts and potentials read the moments through one alternating
-binomial sum, ``_mixed_moment``; it runs in exact rationals when the inputs
-are, and cancels catastrophically in floats.
+binomial sum, ``_mixed_moment``; it cancels catastrophically in floats.
+Rational block counts take the same sum in ints over one denominator.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Sequence
 
 from .composition import Composition
 from .laws import Cpf, DecrementMatrix, DecrementMatrixPair, markov_cpf
-from .ratmath import binom, close, is_exact
+from .ratmath import _over_lcm, binom, close, is_exact
 
 __all__ = [
     "StructuralMoments",
@@ -71,9 +71,27 @@ def _mixed_moment(moments: StructuralMoments, a: int, b: int):
 
 def block_count_row(moments: StructuralMoments, n: int) -> list:
     """mu_{n,r} = E K_{n,r} = C(n,r) E[V^(r-1) (1-V)^(n-r)], r = 1..n."""
+    ints = _block_count_nums(moments, n)
+    if ints is None:
+        return [binom(n, r) * _mixed_moment(moments, r - 1, n - r) for r in range(1, n + 1)]
+    nums, den = ints
+    return [Fraction(x, den) for x in nums]
+
+
+def _block_count_nums(moments: StructuralMoments, n: int):
+    """mu_{n,1..n} as int nums over the lcm D of rational p(1..n), else None.
+
+    Each alternating sum of ``_mixed_moment`` runs on the numerators of p over D.
+    """
     if n > moments.max_n:
         raise ValueError(f"need moments up to p({n})")
-    return [binom(n, r) * _mixed_moment(moments, r - 1, n - r) for r in range(1, n + 1)]
+    ints = _over_lcm(moments.p[:n])
+    if ints is None:
+        return None
+    p, den = ints
+    return [binom(n, r) * sum(binom(n - r, j) * (-p[r - 1 + j] if j % 2 else p[r - 1 + j])
+                              for j in range(n - r + 1))
+            for r in range(1, n + 1)], den
 
 
 def expected_num_parts(moments: StructuralMoments, n: int):
@@ -123,10 +141,11 @@ def last_part_law(cpf: Cpf, n: int) -> list:
 
 def size_biased_part_law(moments: StructuralMoments, n: int) -> list:
     """P(P_n = r) = r mu_{n,r} / n: the size-biased part-size law."""
-    row = block_count_row(moments, n)
-    if is_exact(*row):
-        return [Fraction(r, n) * row[r - 1] for r in range(1, n + 1)]
-    return [r * row[r - 1] / n for r in range(1, n + 1)]
+    ints = _block_count_nums(moments, n)
+    if ints is None:  # p(1..n) holds a float
+        return [r * v / n for r, v in enumerate(block_count_row(moments, n), start=1)]
+    nums, den = ints
+    return [Fraction(r * x, n * den) for r, x in enumerate(nums, start=1)]
 
 
 class ReconstructionError(ValueError):

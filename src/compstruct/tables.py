@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import gcd
 
+from .composition import _joined_by_code
 from .ratmath import parse_scalar
 
 
@@ -27,22 +29,24 @@ def parse_value(text: str):
 
 
 def _cpf_rows(cpf, n):
-    """(code, value) pairs of level n in code order, and their total."""
+    """(code, probability text) pairs of level n in code order, and the total's
+    text: a rational level writes each num/den as "p/q" with one gcd."""
     nums, den = cpf.level(n)
-    total = sum(nums) if den is None else Fraction(sum(nums), den)
-    return enumerate(cpf.values(n), start=1 << (n - 1)), total
-
-
-def _parts_text(code: int) -> str:
-    """The composition of a code as "3,1,2": each part is a 1 and its 0s."""
-    return ",".join(str(len(zeros) + 1) for zeros in format(code, "b")[1:].split("1"))
+    codes = range(1 << (n - 1), 1 << n)
+    if den is None:
+        return zip(codes, map(format_value, nums)), format_value(sum(nums))
+    texts = []
+    for x in nums:
+        g = gcd(x, den)
+        texts.append(f"{x // g}/{den // g}")
+    return zip(codes, texts), format_value(Fraction(sum(nums), den))
 
 
 def cpf_table_lines(cpf, n: int) -> list:
     """Rows: binary code, probability, family tag; normalization line last."""
     rows, total = _cpf_rows(cpf, n)
-    lines = [f"{code:b}\t{format_value(p)}\t{cpf.name}" for code, p in rows]
-    lines.append(f"# total\t{format_value(total)}")
+    lines = [f"{code:b}\t{p}\t{cpf.name}" for code, p in rows]
+    lines.append(f"# total\t{total}")
     return lines
 
 
@@ -51,9 +55,11 @@ def cpf_table_tree(cpf, n: int) -> dict:
     return {
         "family": cpf.name,
         "n": n,
-        "rows": [{"composition": _parts_text(code), "binary": format(code, "b"),
-                  "probability": format_value(p)} for code, p in rows],
-        "total": format_value(total),
+        # each text is the composition "3,1,2" with a leading comma
+        "rows": [{"composition": text[1:], "binary": f"{code:b}", "probability": p}
+                 for text, (code, p) in zip(
+                     _joined_by_code(n, [""] + [f",{r}" for r in range(1, n + 1)]), rows)],
+        "total": total,
     }
 
 

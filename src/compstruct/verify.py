@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 from .composition import Composition
 from .laws import Cpf, DecrementMatrixPair
-from .ratmath import close, is_exact
+from .ratmath import _over_lcm, close, is_exact
 from .structural import last_part_law, size_biased_part_law, structural_moments
 
 __all__ = [
@@ -112,24 +112,50 @@ def check_uniform_consistency(cpf: Cpf, n_max: int) -> CheckReport:
 
 
 def check_decrement_recursions(dm: DecrementMatrixPair, n_max: int) -> CheckReport:
-    """Entrywise recursions tying rows n and n+1 of q and q*."""
+    """Entrywise recursions tying rows n and n+1 of q and q*.
+
+    When rows n and n+1 of q and of q* are rational, each goes over its lcm
+    and both recursions are compared by cross-multiplying ints; only a pair
+    that differs is evaluated in Fractions.  Any other n runs the Fraction
+    recursions entry by entry, in their order, so a missing entry raises as
+    it does there.
+    """
 
     def pairs():
         for n in range(1, n_max + 1):
+            try:
+                rows = [_over_lcm(m.row(k)) for m, k in
+                        ((dm.q, n), (dm.q, n + 1), (dm.qstar, n), (dm.qstar, n + 1))]
+            except Exception:  # a missing entry: the Fraction recursions raise it again
+                rows = [None]
+            if None in rows:
+                for r in range(1, n + 1):
+                    yield _recursion_pair(dm, "q", n, r)
+                    yield _recursion_pair(dm, "q*", n, r)
+                continue
+            (a, d), (b, d1), (s, e), (t, e1) = rows
+            # q times (n+1) d1 d: a_r ((n+1) d1 - b_1) = ((r+1) b_{r+1} + (n+1-r) b_r) d;
+            # q* times (n+1) e1 e d:
+            # s_r (n+1) e1 d = (((r+1) t_{r+1} + (n+1-r) t_r) d + t_1 a_r) e
+            q_scale, qs_scale = (n + 1) * d1 - b[0], (n + 1) * e1 * d
             for r in range(1, n + 1):
-                lhs = dm.q(n, r)
-                rhs = (Fraction(r + 1, n + 1) * dm.q(n + 1, r + 1)
-                       + Fraction(n + 1 - r, n + 1) * dm.q(n + 1, r)
-                       + Fraction(1, n + 1) * dm.q(n + 1, 1) * dm.q(n, r))
-                yield ("q", n, r), lhs, rhs
-                lhs = dm.qstar(n, r)
-                rhs = (Fraction(r + 1, n + 1) * dm.qstar(n + 1, r + 1)
-                       + Fraction(n + 1 - r, n + 1) * dm.qstar(n + 1, r)
-                       + Fraction(1, n + 1) * dm.qstar(n + 1, 1) * dm.q(n, r))
-                yield ("q*", n, r), lhs, rhs
+                if a[r - 1] * q_scale != ((r + 1) * b[r] + (n + 1 - r) * b[r - 1]) * d:
+                    yield _recursion_pair(dm, "q", n, r)
+                if s[r - 1] * qs_scale != (((r + 1) * t[r] + (n + 1 - r) * t[r - 1]) * d
+                                           + t[0] * a[r - 1]) * e:
+                    yield _recursion_pair(dm, "q*", n, r)
 
     return _run_identity("decrement-recursions", f"{dm.label or dm.q.name}, n<={n_max}",
                          pairs())
+
+
+def _recursion_pair(dm, kind, n, r):
+    """(key, lhs, rhs) of the recursion of q or q* (``kind``) at (n, r), in Fractions."""
+    m = dm.q if kind == "q" else dm.qstar
+    lhs = m(n, r)
+    rhs = (Fraction(r + 1, n + 1) * m(n + 1, r + 1) + Fraction(n + 1 - r, n + 1) * m(n + 1, r)
+           + Fraction(1, n + 1) * m(n + 1, 1) * dm.q(n, r))
+    return (kind, n, r), lhs, rhs
 
 
 def check_theorem_SL(cpf: Cpf, n_max: int) -> CheckReport:

@@ -34,6 +34,12 @@ class TestEncodings:
         with pytest.raises(ValueError):
             Composition.from_binary("0110")
 
+    @pytest.mark.parametrize("code, n", [(5, 2), (1, 2), (0, 1), (8, 3), (1, 0), (-3, 2)])
+    def test_from_code_refuses_a_code_of_another_n(self, code, n):
+        # 5 = 101 would read as 2,1, a composition of 3, not of 2
+        with pytest.raises(ValueError, match=rf"code {code} is not a composition code of n = {n}"):
+            Composition.from_code(code, n)
+
     @given(compositions())
     def test_roundtrip_property(self, c):
         assert Composition.from_binary(c.to_binary()) == c
