@@ -185,10 +185,10 @@ def polya_q(alpha, theta) -> DecrementMatrix:
     float rows stay laws past the overflow of the rising factorials.
     """
     _check_alpha_theta(alpha, theta)
+    up, down, total = theta + alpha, 1 - alpha, theta + 1
 
     def entry(n, r):
-        return rising_ratio(((theta + alpha, n - r), (1 - alpha, r - 1)),
-                            ((theta + 1, n - 1),), binom(n - 1, r - 1))
+        return rising_ratio(((up, n - r), (down, r - 1)), ((total, n - 1),), binom(n - 1, r - 1))
 
     return DecrementMatrix(f"polya({alpha},{theta})", entry)
 
@@ -413,36 +413,18 @@ def meander_moments(law: MeanderLaw, n: int, m: int):
 def two_param_stationary_pair(alpha, theta) -> DecrementMatrixPair:
     """Stationary pair of the (alpha, theta) family, exact for rational params.
 
-    q is the closed-form regenerative matrix ``two_param_q`` (Gnedin and
-    Pitman, Regenerative composition structures, Ann. Probab. 33, 2005) and
-    q*(n:m) = Psi(n:0) q(n:m) + Psi(n:m) comes from it through the moments
-    Psi of the Beta(1-alpha, theta) meander.  Every term is positive, so
-    float rows sum to 1 within about 1e-12 up to n = 1000 (past n = 1029 a
-    float q* row raises ``ValueError``); the alternating Levy-binomial sum
-    of the same data, which cancels in floats, is a test oracle.
+    q is the closed-form regenerative matrix ``two_param_q`` and q* the
+    Polya matrix ``polya_q(alpha, theta - alpha)`` (Gnedin and Pitman,
+    Regenerative composition structures, Ann. Probab. 33, 2005).  It equals
+    q*(n:m) = Psi(n:0) q(n:m) + Psi(n:m) with Psi the moments of the
+    Beta(1-alpha, theta) meander, which the tests keep as its reference.
+    Every term is positive and float rows are evaluated in log space, so
+    they stay laws past the overflow of the rising factorials and binomials.
+    A float theta so small that theta - alpha rounds to -alpha is refused.
     """
-    law = beta_meander(alpha, theta)  # first: its range error is two_param_levy's
-    q = two_param_q(alpha, theta)
-    if is_exact(alpha, theta):  # alpha = a/v, theta = c/d: one int ratio per entry
-        a, v, c, d = alpha.numerator, alpha.denominator, theta.numerator, theta.denominator
-
-        def qstar_fn(n, m):
-            # (1-alpha)_m = U_m / v^m, (theta)_k = T_k / d^k and (1-alpha+theta)_n
-            # = W_n / (v d)^n, so Psi(n:m) = C(n,m) U_m T_{n-m} v^(n-m) d^m / W_n
-            x = q(n, m)
-            top = (_rising_num(c, d, n) * v ** n * x.numerator
-                   + binom(n, m) * _rising_num(v - a, v, m) * _rising_num(c, d, n - m)
-                   * v ** (n - m) * d ** m * x.denominator)
-            return Fraction(top, _rising_num((v - a) * d + c * v, v * d, n) * x.denominator)
-    else:
-        psi0 = {}  # Psi(n:0), shared by the n entries of q* row n
-
-        def qstar_fn(n, m):
-            if n not in psi0:
-                psi0[n] = meander_moments(law, n, 0)
-            return psi0[n] * q(n, m) + meander_moments(law, n, m)
-
-    return DecrementMatrixPair(q=q, qstar=DecrementMatrix(f"q*[{law.label}]", qstar_fn),
+    _check_params(0 <= alpha < 1 and theta > 0, "need 0 <= alpha < 1 and theta > 0",
+                  alpha, theta)
+    return DecrementMatrixPair(q=two_param_q(alpha, theta), qstar=polya_q(alpha, theta - alpha),
                                label=f"stationary[two-param({alpha},{theta})]")
 
 

@@ -8,7 +8,7 @@ self-similar Markov CPF from its moments alone.
 
 Block counts and potentials read the moments through one alternating
 binomial sum, ``_mixed_moment``; it cancels catastrophically in floats.
-Rational block counts take the same sum in ints over one denominator.
+Rational moments enter it as ints over one denominator.
 """
 
 from __future__ import annotations
@@ -60,38 +60,31 @@ def structural_moments(cpf: Cpf, N: int) -> StructuralMoments:
     return StructuralMoments(tuple(cpf(Composition((n,))) for n in range(1, N + 1)))
 
 
-def _mixed_moment(moments: StructuralMoments, a: int, b: int):
-    """E[V^a (1-V)^b] = sum_j (-1)^j C(b,j) p(a+j+1), the one alternating sum."""
+def _mixed_moment(p: Sequence, a: int, b: int):
+    """E[V^a (1-V)^b] = sum_j (-1)^j C(b,j) p(a+j+1) over p = p(1), p(2), ...
+
+    The one alternating sum, added in order of j: ints over the lcm of
+    rational moments, or the raw values otherwise.
+    """
     total = 0
     for j in range(b + 1):
-        term = binom(b, j) * moments(a + j + 1)
+        term = binom(b, j) * p[a + j]
         total = total + (term if j % 2 == 0 else -term)
     return total
 
 
-def block_count_row(moments: StructuralMoments, n: int) -> list:
-    """mu_{n,r} = E K_{n,r} = C(n,r) E[V^(r-1) (1-V)^(n-r)], r = 1..n."""
-    ints = _block_count_nums(moments, n)
-    if ints is None:
-        return [binom(n, r) * _mixed_moment(moments, r - 1, n - r) for r in range(1, n + 1)]
-    nums, den = ints
-    return [Fraction(x, den) for x in nums]
-
-
-def _block_count_nums(moments: StructuralMoments, n: int):
-    """mu_{n,1..n} as int nums over the lcm D of rational p(1..n), else None.
-
-    Each alternating sum of ``_mixed_moment`` runs on the numerators of p over D.
-    """
+def _moments_upto(moments: StructuralMoments, n: int):
+    """(p(1..n), D): int nums over their lcm D if rational, else the values and None."""
     if n > moments.max_n:
         raise ValueError(f"need moments up to p({n})")
-    ints = _over_lcm(moments.p[:n])
-    if ints is None:
-        return None
-    p, den = ints
-    return [binom(n, r) * sum(binom(n - r, j) * (-p[r - 1 + j] if j % 2 else p[r - 1 + j])
-                              for j in range(n - r + 1))
-            for r in range(1, n + 1)], den
+    return _over_lcm(moments.p[:n]) or (moments.p[:n], None)
+
+
+def block_count_row(moments: StructuralMoments, n: int) -> list:
+    """mu_{n,r} = E K_{n,r} = C(n,r) E[V^(r-1) (1-V)^(n-r)], r = 1..n."""
+    p, den = _moments_upto(moments, n)
+    row = [binom(n, r) * _mixed_moment(p, r - 1, n - r) for r in range(1, n + 1)]
+    return row if den is None else [Fraction(x, den) for x in row]
 
 
 def expected_num_parts(moments: StructuralMoments, n: int):
@@ -101,9 +94,9 @@ def expected_num_parts(moments: StructuralMoments, n: int):
 
 def potential_from_cpf(moments: StructuralMoments, j: int):
     """g(j) = E (1-V)^(j-1), expanded in the structural moments."""
-    if j > moments.max_n:
-        raise ValueError(f"need moments up to p({j})")
-    return _mixed_moment(moments, 0, j - 1)
+    p, den = _moments_upto(moments, j)
+    g = _mixed_moment(p, 0, j - 1)
+    return g if den is None else Fraction(g, den)
 
 
 def deletion_law(mu_row_n: Sequence, mu_row_prev: Sequence) -> list:
@@ -141,11 +134,11 @@ def last_part_law(cpf: Cpf, n: int) -> list:
 
 def size_biased_part_law(moments: StructuralMoments, n: int) -> list:
     """P(P_n = r) = r mu_{n,r} / n: the size-biased part-size law."""
-    ints = _block_count_nums(moments, n)
-    if ints is None:  # p(1..n) holds a float
+    p, den = _moments_upto(moments, n)
+    if den is None:  # p(1..n) holds a float
         return [r * v / n for r, v in enumerate(block_count_row(moments, n), start=1)]
-    nums, den = ints
-    return [Fraction(r * x, n * den) for r, x in enumerate(nums, start=1)]
+    return [Fraction(r * binom(n, r) * _mixed_moment(p, r - 1, n - r), n * den)
+            for r in range(1, n + 1)]
 
 
 class ReconstructionError(ValueError):

@@ -141,7 +141,7 @@ def block_count_row(moments, n):
     """mu_{n,r} = C(n,r) E[V^(r-1) (1-V)^(n-r)], each by the alternating sum."""
     if n > moments.max_n:
         raise ValueError(f"need moments up to p({n})")
-    return [binom(n, r) * _mixed_moment(moments, r - 1, n - r) for r in range(1, n + 1)]
+    return [binom(n, r) * _mixed_moment(moments.p, r - 1, n - r) for r in range(1, n + 1)]
 
 
 def size_biased_part_law(moments, n):

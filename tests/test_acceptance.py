@@ -15,9 +15,9 @@ from scipy.stats import ks_2samp
 
 from compstruct.composition import (Composition, Partition,
                                     enumerate_compositions)
-from compstruct.laws import (DecrementMatrixPair, ewens_cpf, ewens_pair,
+from compstruct.laws import (DecrementMatrixPair, beta_meander, ewens_cpf, ewens_pair,
                              fragment_cpf, levy_exponent,
-                             markov_cpf,
+                             markov_cpf, meander_moments,
                              polya_q, potential_from_levy, renewal_cpf,
                              two_param_levy, two_param_q,
                              two_param_stationary_pair)
@@ -110,14 +110,20 @@ def test_criterion_03_decrement_calculus():
 
 
 def test_criterion_04_qstar_identity():
+    # q* is built as the shifted Polya matrix; the meander side
+    # Psi(n:0) q(n:m) + Psi(n:m) is computed independently of it
     for a, t in STATIONARY_PARAMS:
         pair = two_param_stationary_pair(a, t)
         shifted = polya_q(a, t - a)
+        law, q = beta_meander(a, t), two_param_q(a, t)
         for n in range(1, 11):
             for r in range(1, n + 1):
                 assert pair.qstar(n, r) == shifted(n, r), (a, t, n, r)
+                meander = meander_moments(law, n, 0) * q(n, r) + meander_moments(law, n, r)
+                assert meander == shifted(n, r), (a, t, n, r)
     emit(4, True, "q* of the stationary pair equals the Polya matrix with "
-                  "theta shifted by -alpha, exact n <= 10")
+                  "theta shifted by -alpha and the Beta(1-alpha, theta) "
+                  "meander form, exact n <= 10")
 
 
 def test_criterion_05_last_part_law():

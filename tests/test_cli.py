@@ -53,6 +53,12 @@ def text_rows(out):
                 if not line.startswith("#"))
 
 
+def test_int_values_format_as_fractions():
+    for v in (0, 1, 3, -2):
+        assert tables.format_value(v) == f"{v}/1"
+        assert tables.parse_value(tables.format_value(v)) == v
+
+
 @given(st.floats(allow_nan=False, allow_infinity=False))
 @example(-0.0)
 @example(5e-324)
@@ -104,6 +110,11 @@ class TestCpfCommand:
     def test_missing_param_exit2(self, capsys):
         code, _, err = run(capsys, "cpf", "--family", "ewens", "--n", "3")
         assert code == 2 and "theta" in err
+
+    @pytest.mark.parametrize("family", ["renewal", "renewal-reversed"])
+    def test_renewal_without_alpha_exit2(self, capsys, family):
+        code, out, err = run(capsys, "cpf", "--family", family, "--n", "3")
+        assert code == 2 and out == "" and f"{family} needs --alpha" in err
 
     def test_bad_scalar_exit2(self, capsys):
         code, _, _ = run(capsys, "cpf", "--family", "ewens", "--theta", "x/y",
@@ -164,6 +175,16 @@ class TestCpfCommand:
                              "--matrix-file", mf, "--n", "4")
         assert code == 2 and out == ""
         assert err.startswith("error:") and "lacks q*(4:2)" in err
+
+    def test_matrix_file_comments_and_blank_lines_are_skipped(self, capsys, tmp_path):
+        mf = write_pair(tmp_path / "pair.txt", two_param_stationary_pair(F(1, 2), 1), 4)
+        _, want, _ = run(capsys, "cpf", "--family", "markov-table", "--matrix-file", mf,
+                         "--n", "4")
+        text = (tmp_path / "pair.txt").read_text()
+        (tmp_path / "pair.txt").write_text("# (1/2, 1)\n\n" + text.replace("\n", "\n  # row\n", 3))
+        code, out, _ = run(capsys, "cpf", "--family", "markov-table", "--matrix-file", mf,
+                           "--n", "4")
+        assert code == 0 and out == want
 
     def test_malformed_matrix_line_exit2(self, capsys, tmp_path):
         mf = tmp_path / "pair.txt"
@@ -478,6 +499,21 @@ class TestReconstructCommand:
         code, _, err = run(capsys, "reconstruct", "--moments", str(mf))
         assert code == 4 and "infeasible" in err
 
+    def test_non_law_row_exit4(self, capsys, tmp_path):
+        mf = tmp_path / "moments.txt"
+        mf.write_text("1\n9/10\n1/10\n")
+        code, out, err = run(capsys, "reconstruct", "--moments", str(mf))
+        assert code == 4 and out == ""
+        assert "reconstruction infeasible: reconstructed row 2 is not a probability" in err
+
+    def test_comment_lines_are_skipped(self, capsys, tmp_path):
+        mf = tmp_path / "moments.txt"
+        mf.write_text("1\t1\n2\t1/2\n3\t1/3\n")
+        _, want, _ = run(capsys, "reconstruct", "--moments", str(mf))
+        mf.write_text("# V uniform\n1\t1\n\n  # p(2)\n2\t1/2\n3\t1/3\n")
+        code, out, _ = run(capsys, "reconstruct", "--moments", str(mf))
+        assert code == 0 and out == want
+
     def test_integer_entry_reads_exact(self, capsys, tmp_path):
         # "1" and "1/1" are the same exact p(1): both files give exact rows
         outs = []
@@ -734,6 +770,13 @@ class TestImportBoundary:
                   "assert main(['arrange', '--partition', '2,1,1', '--alpha', '1/2',\n"
                   "             '--theta', '1', '--seed', '1']) == 0\n"
                   "assert 'numpy' in sys.modules\n")
+
+    def test_lazy_names_resolve_in_process(self):
+        from compstruct import stochastic
+
+        for name in compstruct._STOCHASTIC_NAMES:
+            assert getattr(compstruct, name) is getattr(stochastic, name)
+        assert compstruct.backend_name() == "numpy"
 
     def test_lazy_names_are_the_stochastic_objects(self):
         run_fresh("import sys\n"

@@ -326,12 +326,21 @@ class TestMeander:
 
 class TestStationaryPair:
     def test_qstar_is_polya_shifted(self):
-        for a, t in [(F(1, 2), 1), (F(1, 3), F(2, 3))]:
+        # q* is polya_q(alpha, theta - alpha); the meander moments
+        # Psi(n:0) q(n:m) + Psi(n:m) and the Levy-binomial pair are its
+        # independent references, on a grid with alpha = 0 and theta = alpha
+        for a, t in [(F(1, 2), 1), (F(1, 3), F(2, 3)), (0, F(3, 2)), (F(1, 4), F(1, 4)),
+                     (F(9, 10), F(1, 10)), (F(2, 5), F(7, 3))]:
             pair = two_param_stationary_pair(a, t)
             ref = polya_q(a, t - a)
-            for n in range(1, 11):
+            law, q = beta_meander(a, t), two_param_q(a, t)
+            levy = levy_stationary_pair(two_param_levy(a, t))
+            for n in range(1, 31):
                 for r in range(1, n + 1):
                     assert pair.qstar(n, r) == ref(n, r)
+                    assert pair.qstar(n, r) == (meander_moments(law, n, 0) * q(n, r)
+                                                + meander_moments(law, n, r))
+                    assert pair.qstar(n, r) == levy.qstar(n, r), (a, t, n, r)
 
     def test_rows_sum(self):
         pair = two_param_stationary_pair(F(1, 2), 1)
@@ -361,13 +370,26 @@ class TestStationaryPair:
             assert abs(sum(row) - 1) <= 1e-9
 
     def test_float_meander_moments_refuse_float_overflow(self):
-        # C(1030, 515) does not convert to a float
+        # C(1030, 515) does not convert to a float, so the float meander
+        # moments refuse past n = 1029; q* is the Polya matrix, whose
+        # log-space rows stay laws far past it
         law = beta_meander(0.5, 1.0)
         assert meander_moments(law, 1029, 514) > 0
         with pytest.raises(ValueError, match="overflows a float"):
             meander_moments(law, 1030, 515)
-        with pytest.raises(ValueError, match="overflows a float"):
-            two_param_stationary_pair(0.5, 1.0).qstar.row(1100)
+        pair = two_param_stationary_pair(0.5, 1.0)
+        for n in (1030, 2000, 5000):
+            row = pair.qstar.row(n)
+            assert all(v >= 0 for v in row)  # also false for NaN
+            assert abs(sum(row) - 1) <= 1e-11
+
+    @pytest.mark.parametrize("a, t", [(F(1, 2), 1), (F(1, 3), F(2, 3)), (F(1, 4), F(3, 2)),
+                                      (F(9, 10), F(1, 10))])
+    def test_float_qstar_matches_exact(self, a, t):
+        exact, fl = two_param_stationary_pair(a, t), two_param_stationary_pair(float(a), float(t))
+        for n in range(1, 65):
+            for x, y in zip(exact.qstar.row(n), fl.qstar.row(n)):
+                assert abs(y - x) <= 1e-12 * x
 
 
 class TestPotentials:
@@ -713,6 +735,10 @@ def test_rising_ratio_modes_agree_property(num, den, coef):
         rising(y, l) for y, l in den)
     assert exact == want
     assert fl == pytest.approx(float(exact), rel=1e-11)
+
+
+def test_binom_is_zero_outside_zero_to_n():
+    assert [binom(3, k) for k in range(-2, 6)] == [0, 0, 1, 3, 3, 1, 0, 0]
 
 
 def test_rising_ratio_refuses_nonpositive_float_arguments():

@@ -59,6 +59,12 @@ class TestStructuralMoments:
             with pytest.raises(ValueError):
                 StructuralMoments((p1, 0.5))
 
+    def test_read_out_of_range(self):
+        mom = StructuralMoments((F(1), F(1, 2)))
+        for n in (0, 3):
+            with pytest.raises(ValueError, match=rf"p\({n}\) not available \(have 1..2\)"):
+                mom(n)
+
 
 class TestBlockCounts:
     def test_rows_are_expected_counts(self):
@@ -97,6 +103,12 @@ class TestBlockCounts:
         for n in range(1, 9):
             assert expected_num_parts(mom, n) == sum(F(1, j) for j in range(1, n + 1))
 
+    @pytest.mark.parametrize("read", [block_count_row, potential_from_cpf, size_biased_part_law])
+    def test_past_max_n_refused(self, read):
+        for mom in (StructuralMoments((F(1), F(1, 2))), StructuralMoments((1.0, 0.5))):
+            with pytest.raises(ValueError, match=r"need moments up to p\(3\)"):
+                read(mom, 3)
+
 
 class TestDeletionLaw:
     def test_matches_size_biased(self):
@@ -113,6 +125,11 @@ class TestDeletionLaw:
     def test_negative_mass_rejected(self):
         with pytest.raises(ValueError):
             deletion_law((F(1, 2), F(1, 2)), (F(2, 1),))
+
+    def test_rows_of_wrong_lengths_rejected(self):
+        for prev in ((), (F(1, 2), F(1, 2))):
+            with pytest.raises(ValueError, match="rows must be for n and n-1"):
+                deletion_law((F(1, 2), F(1, 2)), prev)
 
 
 class TestTheoremSL:
@@ -201,6 +218,18 @@ class TestReconstruction:
         mom = StructuralMoments((F(1), F(9, 10), F(8, 10)))
         with pytest.raises(ReconstructionError):
             reconstruct_markov(mom)
+
+    def test_non_law_row_refused(self):
+        # the q solve goes through, but it rebuilds q row 2 as [15/7, -8/7]
+        mom = StructuralMoments((F(1), F(9, 10), F(1, 10)))
+        with pytest.raises(ReconstructionError,
+                           match=r"row 2 is not a probability vector: "
+                                 r"\[Fraction\(15, 7\), Fraction\(-8, 7\)\]"):
+            reconstruct_markov(mom)
+
+    def test_needs_two_moments(self):
+        with pytest.raises(ValueError, match=r"need at least p\(1..2\)"):
+            reconstruct_markov(StructuralMoments((F(1),)))
 
 
 def structural_density_check(density, grid=10 ** 4):
